@@ -1045,6 +1045,11 @@ def induce_gp_code(
         q_z = default_state_dist(wt_model)
     gp_model = analogous_gpbc(wt_model, q_z)
     ij = induced_joint(wt_code, wt_model, mode="exact", budget=budget)
+    return _gp_code_from_joint(wt_code, ij), gp_model
+
+
+def _gp_code_from_joint(wt_code: BlockCode, ij: InducedJoint) -> BlockCode:
+    """The induced GP code of ``wt_code`` from its exact induced joint."""
     n = wt_code.n
     x_axes = [f"x{i + 1}" for i in range(n)]
     names = ["m1", "m2", *ij.z_axes, *x_axes]
@@ -1057,7 +1062,7 @@ def induce_gp_code(
         (int(c[0]), int(c[1]), int(_seq_index(np.array(c[2:]), wt_code.z_size)))
         for c in kern.filled_rows
     )
-    gp_code = BlockCode(
+    return BlockCode(
         side="gp",
         n=n,
         m1_size=wt_code.m1_size,
@@ -1076,7 +1081,6 @@ def induce_gp_code(
         encoder_filled=filled,
         meta=dict(wt_code.meta),
     )
-    return gp_code, gp_model
 
 
 def gp_collapse_residual(
@@ -1089,12 +1093,16 @@ def gp_collapse_residual(
 
     The wiretap run and the induced GP run share the conditional kernel
     from (messages, z^n) onward, so the total variation between their
-    full joints equals || P_{M, Z^n} - unif x q_z^n || exactly.
+    full joints equals || P_{M, Z^n} - unif x q_z^n || exactly.  The
+    wiretap code is enumerated once, for both the encoder and the TV.
     """
+    if wt_code.side != "wiretap":
+        raise ValueError("gp_collapse_residual starts from a wiretap code")
     if q_z is None:
         q_z = default_state_dist(wt_model)
-    gp_code, gp_model = induce_gp_code(wt_code, wt_model, q_z, budget=budget)
+    gp_model = analogous_gpbc(wt_model, q_z)
     ij_wt = induced_joint(wt_code, wt_model, mode="exact", budget=budget)
+    gp_code = _gp_code_from_joint(wt_code, ij_wt)
     ij_gp = induced_joint(gp_code, gp_model, mode="exact", budget=budget)
     full = total_variation(ij_wt.joint, ij_gp.joint)
     collapsed = message_state_tv(ij_wt, q_z)

@@ -305,14 +305,6 @@ class StochasticKernel:
         return f"StochasticKernel({i} -> {o})"
 
 
-def marginalize(joint: JointPmf, keep: Iterable[str]) -> JointPmf:
-    return joint.marginalize(keep)
-
-
-def condition(joint: JointPmf, given: Iterable[str]) -> StochasticKernel:
-    return joint.condition(given)
-
-
 def iid_extension(
     p: FinitePmf,
     n: int,

@@ -16,9 +16,17 @@ Six bound families are supported, named by structure and side:
 The formulas are evaluated on a single-letter joint over axes
 (u, x, y1, y2, z).  The two sides differ only in how that joint is
 assembled: p(u, x) * law(y1, y2, z | x) on the wiretap side versus
-q(z) * q(u, x | z) * law(y1, y2 | x, z) on the GP side.  Given the same
-numeric joint, both sides run the identical code path, so their bounds
-agree bitwise; that equality is the single-letter face of the analogy.
+q(z) * q(u, x | z) * law(y1, y2 | x, z) on the GP side.
+
+Every bound above, the secrecy objective I(U;Y1) - I(U;Z) and the
+informed objective I(X;Y1|Z) live in one table of signed marginal-entropy
+terms, evaluated by one kernel over a batch of joints.  The searches and
+the grid oracle run it on many rows; the scalar ``rate_bounds_from_joint``
+runs it on a batch of one.  Given the same numeric joint, both sides
+therefore run the identical code path and their bounds agree bitwise;
+that equality is the single-letter face of the analogy.  The support
+function likewise has one vertex definition shared by the scalar maximum
+and the batched value.
 
 Searches maximize over the auxiliary distribution with multistart
 projected block-coordinate ascent (Dirichlet(1, ..., 1) restarts,
@@ -34,19 +42,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .channels import GpModel, WiretapModel, classify
-from .divergence import (
-    conditional_entropy,
-    conditional_mutual_information,
-    mutual_information,
-)
 from .errors import ClassificationError, ResourceError, ShapeError
-from .pmf import Axis, FinitePmf, JointPmf, StochasticKernel
+from .pmf import Axis, JointPmf, StochasticKernel
 
 FAMILIES: dict[str, tuple[str, str]] = {
     "SD-WT": ("wiretap", "SD"),
@@ -196,47 +200,133 @@ def aux_from_dict(doc: dict) -> AuxiliaryDist:
 
 
 # ---------------------------------------------------------------------------
-# single-letter joints and bound formulas
+# single-letter joints and the rate-expression table
 # ---------------------------------------------------------------------------
+
+
+_JOINT_AXES = ("u", "x", "y1", "y2", "z")
+
+
+def _joint_batch(
+    model: WiretapModel | GpModel, theta: np.ndarray, u_size: int
+) -> np.ndarray:
+    """(b, u, x, y1, y2, z) joints of a batch of flat auxiliary rows.
+
+    Wiretap rows hold p(u, x); GP rows hold the kernel q(u, x | z), one
+    (u, x) block per state.  An input-only variable is the |U| = 1 case.
+    """
+    if isinstance(model, WiretapModel):
+        p = theta.reshape(theta.shape[0], u_size, model.x_size)
+        return np.einsum("bux,xjkz->buxjkz", p, model.law)
+    k = theta.reshape(theta.shape[0], model.z_size, u_size, model.x_size)
+    return np.einsum("z,bzux,xzjk->buxjkz", model.state_dist.mass, k, model.law)
 
 
 def single_letter_joint(model: WiretapModel | GpModel, aux: AuxiliaryDist) -> JointPmf:
     """Joint over (u, x, y1, y2, z) induced by the auxiliary and the law."""
-    if isinstance(model, WiretapModel):
-        if aux.side != "wiretap":
-            raise ShapeError("wiretap model needs a wiretap-side auxiliary")
-        if not aux.has_u:
-            raise ShapeError("region evaluation needs a (u, x) auxiliary")
+    side = "wiretap" if isinstance(model, WiretapModel) else "gp"
+    if aux.side != side:
+        raise ShapeError(f"{side} model needs a {side}-side auxiliary")
+    if not aux.has_u:
+        raise ShapeError("region evaluation needs a (u, x) auxiliary")
+    if side == "wiretap":
         if aux.x_size != model.x_size:
             raise ShapeError(
                 f"auxiliary x-size {aux.x_size} != model x-size {model.x_size}"
             )
-        mass = np.einsum("ux,xjkz->uxjkz", aux.dist.mass, model.law)
-        axes = [
-            Axis("u", aux.u_size),
-            Axis("x", model.x_size),
-            Axis("y1", model.y1_size),
-            Axis("y2", model.y2_size),
-            Axis("z", model.z_size),
-        ]
-        return JointPmf(axes, mass)
-    if aux.side != "gp":
-        raise ShapeError("gp model needs a gp-side auxiliary")
-    if not aux.has_u:
-        raise ShapeError("region evaluation needs a (u, x) auxiliary")
-    if aux.x_size != model.x_size or aux.dist.input_axes[0].size != model.z_size:
-        raise ShapeError("auxiliary alphabets do not match the model")
-    mass = np.einsum(
-        "z,zux,xzjk->uxjkz", model.state_dist.mass, aux.dist.rows, model.law
-    )
-    axes = [
-        Axis("u", aux.u_size),
-        Axis("x", model.x_size),
-        Axis("y1", model.y1_size),
-        Axis("y2", model.y2_size),
-        Axis("z", model.z_size),
-    ]
-    return JointPmf(axes, mass)
+        theta = aux.dist.mass
+    else:
+        if aux.x_size != model.x_size or aux.dist.input_axes[0].size != model.z_size:
+            raise ShapeError("auxiliary alphabets do not match the model")
+        theta = aux.dist.rows
+    mass = _joint_batch(model, theta.reshape(1, -1), aux.u_size)[0]
+    return JointPmf([Axis(n, s) for n, s in zip(_JOINT_AXES, mass.shape)], mass)
+
+
+# axis positions in a (b, u, x, y1, y2, z) batch
+_U, _X, _Y1, _Y2, _Z = 1, 2, 3, 4, 5
+
+# Every bound and objective as signed marginal entropies, summed left to
+# right: the term (-1, (_U, _Z)) reads -H(U, Z).
+_EXPRESSIONS: dict[str, tuple[tuple[int, tuple[int, ...]], ...]] = {
+    "H(Y1|Z)": ((+1, (_Y1, _Z)), (-1, (_Z,))),
+    "I(U;Y2)-I(U;Z)": (
+        (+1, (_Y2,)), (-1, (_U, _Y2)), (-1, (_Z,)), (+1, (_U, _Z)),
+    ),
+    "H(Y1|Z)+I(U;Y2)-I(U;Y1,Z)": (
+        (+1, (_Y2,)), (-1, (_U, _Y2)), (-1, (_Z,)), (+1, (_U, _Y1, _Z)),
+    ),
+    "I(X;Y1|U,Z)": (
+        (+1, (_U, _X, _Z)), (+1, (_U, _Y1, _Z)),
+        (-1, (_U, _X, _Y1, _Z)), (-1, (_U, _Z)),
+    ),
+    "I(X;Y1|Z)": (
+        (+1, (_X, _Z)), (+1, (_Y1, _Z)), (-1, (_X, _Y1, _Z)), (-1, (_Z,)),
+    ),
+    "I(U;Y1)-I(U;Z)": (
+        (+1, (_Y1,)), (-1, (_U, _Y1)), (-1, (_Z,)), (+1, (_U, _Z)),
+    ),
+}
+
+# (R1, R2, R1 + R2) bounds of each structural kind; None is no constraint.
+# The cooperative kind also adds c12 to its R2 bound.
+_KIND_ROWS: dict[str, tuple[str, str, str | None]] = {
+    "SD": ("H(Y1|Z)", "I(U;Y2)-I(U;Z)", "H(Y1|Z)+I(U;Y2)-I(U;Y1,Z)"),
+    "PD-IR": ("I(X;Y1|U,Z)", "I(U;Y2)-I(U;Z)", None),
+    "PD-IR-COOP": ("I(X;Y1|U,Z)", "I(U;Y2)-I(U;Z)", "I(X;Y1|Z)"),
+}
+
+# capacity objectives: secrecy over (u, x), informed over x alone (|U| = 1)
+_SECRECY = "I(U;Y1)-I(U;Z)"
+_INFORMED = "I(X;Y1|Z)"
+
+
+def _batch_entropy(arr: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """Entropies (bits) of the ``keep``-axes marginal, per batch row."""
+    drop = tuple(i for i in range(1, arr.ndim) if i not in keep)
+    m = arr.sum(axis=drop) if drop else arr
+    m = m.reshape(arr.shape[0], -1)
+    out = np.zeros_like(m)
+    nz = m > 0.0
+    mz = m[nz]
+    out[nz] = mz * np.log2(mz)
+    return -out.sum(axis=1)
+
+
+def _evaluate(j: np.ndarray, names: Sequence[str | None]) -> list[np.ndarray | None]:
+    """Per-row values of the named expressions on a (b, u, x, y1, y2, z) batch.
+
+    Each distinct marginal entropy is computed once per call and dropped
+    after its last use.
+    """
+    uses = Counter(keep for name in names if name for _, keep in _EXPRESSIONS[name])
+    cache: dict[tuple[int, ...], np.ndarray] = {}
+
+    def h(keep: tuple[int, ...]) -> np.ndarray:
+        if keep not in cache:
+            cache[keep] = _batch_entropy(j, keep)
+        uses[keep] -= 1
+        return cache[keep] if uses[keep] else cache.pop(keep)
+
+    out: list[np.ndarray | None] = []
+    for name in names:
+        if name is None:
+            out.append(None)
+            continue
+        (sign, keep), *rest = _EXPRESSIONS[name]
+        acc = h(keep) if sign > 0 else -h(keep)
+        for sign, keep in rest:
+            acc = acc + h(keep) if sign > 0 else acc - h(keep)
+        out.append(acc)
+    return out
+
+
+def _rates(kind: str, j: np.ndarray, coop: float | None):
+    """Raw (r1, r2, r_sum) per batch row; r_sum is None without a sum bound."""
+    r1, r2, rs = _evaluate(j, _KIND_ROWS[kind])
+    if kind == "PD-IR-COOP":
+        r2 = r2 + float(coop)
+    return r1, r2, rs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -255,63 +345,31 @@ class RateBounds:
     raw_sum: float | None
 
 
+def _rate_bounds(family: str, r1, r2, rs) -> RateBounds:
+    """RateBounds from the raw values of a batch of one."""
+    raw = [None if v is None else float(v[0]) for v in (r1, r2, rs)]
+    clamped = [None if v is None else max(v, 0.0) for v in raw]
+    return RateBounds(family, *clamped, *raw)
+
+
 def rate_bounds_from_joint(
     family: str, joint: JointPmf, coop_capacity: float | None = None
 ) -> RateBounds:
     """Evaluate a family's bound formulas on a prebuilt (u,x,y1,y2,z) joint.
 
-    Only the structural kind of ``family`` affects the arithmetic; the
+    The joint runs through the batched evaluator as a batch of one.  Only
+    the structural kind of ``family`` affects the arithmetic; the
     wiretap/GP side is a label.  Two families of the same kind therefore
     return bitwise-identical numbers on the same joint.
     """
     _, kind = _family(family)
-    need = {"u", "x", "y1", "y2", "z"}
-    if set(joint.axis_names) != need:
-        raise ShapeError(f"joint axes {joint.axis_names} must be {sorted(need)}")
-    if kind == "SD":
-        r1 = conditional_entropy(joint, {"y1"}, {"z"})
-        i_uy2 = mutual_information(joint, {"u"}, {"y2"})
-        i_uz = mutual_information(joint, {"u"}, {"z"})
-        i_uy1z = mutual_information(joint, {"u"}, {"y1", "z"})
-        raw_r2 = i_uy2 - i_uz
-        raw_sum = r1 + i_uy2 - i_uy1z
-        return RateBounds(
-            family=family,
-            r1=max(r1, 0.0),
-            r2=max(raw_r2, 0.0),
-            r_sum=max(raw_sum, 0.0),
-            raw_r1=r1,
-            raw_r2=raw_r2,
-            raw_sum=raw_sum,
-        )
-    # PD-IR and PD-IR-COOP share the individual-rate formulas
-    raw_r1 = conditional_mutual_information(joint, {"x"}, {"y1"}, {"u", "z"})
-    i_uy2 = mutual_information(joint, {"u"}, {"y2"})
-    i_uz = mutual_information(joint, {"u"}, {"z"})
-    raw_r2 = i_uy2 - i_uz
-    if kind == "PD-IR":
-        return RateBounds(
-            family=family,
-            r1=max(raw_r1, 0.0),
-            r2=max(raw_r2, 0.0),
-            r_sum=None,
-            raw_r1=raw_r1,
-            raw_r2=raw_r2,
-            raw_sum=None,
-        )
-    if coop_capacity is None:
+    if set(joint.axis_names) != set(_JOINT_AXES):
+        raise ShapeError(f"joint axes {joint.axis_names} must be {sorted(_JOINT_AXES)}")
+    if kind == "PD-IR-COOP" and coop_capacity is None:
         raise ValueError("cooperative family needs coop_capacity")
-    raw_r2 = raw_r2 + float(coop_capacity)
-    raw_sum = conditional_mutual_information(joint, {"x"}, {"y1"}, {"z"})
-    return RateBounds(
-        family=family,
-        r1=max(raw_r1, 0.0),
-        r2=max(raw_r2, 0.0),
-        r_sum=max(raw_sum, 0.0),
-        raw_r1=raw_r1,
-        raw_r2=raw_r2,
-        raw_sum=raw_sum,
-    )
+    perm = [joint.axis_index(n) for n in _JOINT_AXES]
+    j = np.ascontiguousarray(joint.mass.transpose(perm))[None]
+    return _rate_bounds(family, *_rates(kind, j, coop_capacity))
 
 
 def _check_family_model(family: str, model: WiretapModel | GpModel) -> None:
@@ -350,11 +408,30 @@ def eval_rate_bounds(
     return rate_bounds_from_joint(family, joint, model.coop_capacity)
 
 
+# ---------------------------------------------------------------------------
+# support function
+# ---------------------------------------------------------------------------
+
+
 @dataclasses.dataclass(frozen=True)
 class SupportPoint:
     value: float
     r1: float
     r2: float
+
+
+def _support_vertices(r1, r2, rs):
+    """The two greedy vertices of {0<=R1<=r1, 0<=R2<=r2, R1+R2<=rs}.
+
+    Filling R1 first, or R2 first, gives the two vertices that dominate
+    every other one componentwise, so a nonnegative direction attains
+    its support maximum (and its lexicographic tie-break) at one of
+    them.  ``r1``, ``r2`` and ``rs`` are clamped bounds, floats or arrays;
+    ``rs`` is inf without a sum constraint.
+    """
+    r1_first = (np.minimum(r1, rs), np.minimum(r2, np.maximum(rs - r1, 0.0)))
+    r2_first = (np.minimum(r1, np.maximum(rs - r2, 0.0)), np.minimum(r2, rs))
+    return r1_first, r2_first
 
 
 def support_maximum(bounds: RateBounds, lam1: float, lam2: float) -> SupportPoint:
@@ -366,36 +443,26 @@ def support_maximum(bounds: RateBounds, lam1: float, lam2: float) -> SupportPoin
     lam2 = float(lam2)
     if lam1 < 0.0 or lam2 < 0.0 or (lam1 == 0.0 and lam2 == 0.0):
         raise ValueError("direction must be nonnegative and nonzero")
-    r1, r2 = bounds.r1, bounds.r2
     rs = math.inf if bounds.r_sum is None else bounds.r_sum
-    cands = [(0.0, 0.0), (min(r1, rs), 0.0), (0.0, min(r2, rs))]
-    if rs >= r1:
-        cands.append((r1, min(r2, rs - r1)))
-    if rs >= r2:
-        cands.append((min(r1, rs - r2), r2))
-    best = None
-    for a, b in cands:
-        val = lam1 * a + lam2 * b
-        key = (val, a, b)
-        if best is None or key > best:
-            best = key
-    return SupportPoint(value=best[0], r1=best[1], r2=best[2])
+    value, r1, r2 = max(
+        (lam1 * a + lam2 * b, a, b)
+        for a, b in _support_vertices(bounds.r1, bounds.r2, rs)
+    )
+    return SupportPoint(value=float(value), r1=float(r1), r2=float(r2))
+
+
+def _batch_support(r1, r2, rs, lam1: float, lam2: float) -> np.ndarray:
+    """Support value per row of raw batched bounds (clamped here)."""
+    r1 = np.maximum(r1, 0.0)
+    r2 = np.maximum(r2, 0.0)
+    rs = math.inf if rs is None else np.maximum(rs, 0.0)
+    (a1, b1), (a2, b2) = _support_vertices(r1, r2, rs)
+    return np.maximum(lam1 * a1 + lam2 * b1, lam1 * a2 + lam2 * b2)
 
 
 # ---------------------------------------------------------------------------
-# vectorized evaluation (search and oracle fast path)
+# projected block-coordinate ascent
 # ---------------------------------------------------------------------------
-
-
-def _batch_entropy(arr: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """Entropies (bits) of the ``keep``-axes marginal, per batch row."""
-    drop = tuple(i for i in range(1, arr.ndim) if i not in keep)
-    m = arr.sum(axis=drop) if drop else arr
-    m = m.reshape(arr.shape[0], -1)
-    out = np.zeros_like(m)
-    nz = m > 0.0
-    out[nz] = m[nz] * np.log2(m[nz])
-    return -out.sum(axis=1)
 
 
 def _normalize_blocks(theta: np.ndarray, blocks: Sequence[slice]) -> np.ndarray:
@@ -403,91 +470,6 @@ def _normalize_blocks(theta: np.ndarray, blocks: Sequence[slice]) -> np.ndarray:
     for sl in blocks:
         out[:, sl] /= out[:, sl].sum(axis=1, keepdims=True)
     return out
-
-
-def _wt_joint_batch(theta: np.ndarray, u_size: int, model: WiretapModel) -> np.ndarray:
-    p = theta.reshape(theta.shape[0], u_size, model.x_size)
-    return np.einsum("bux,xjkz->buxjkz", p, model.law)
-
-
-def _gp_joint_batch(theta: np.ndarray, u_size: int, model: GpModel) -> np.ndarray:
-    k = theta.reshape(theta.shape[0], model.z_size, u_size, model.x_size)
-    return np.einsum("z,bzux,xzjk->buxjkz", model.state_dist.mass, k, model.law)
-
-
-def _wt_input_batch(theta: np.ndarray, model: WiretapModel) -> np.ndarray:
-    return np.einsum("bx,xjkz->bxjkz", theta, model.law)
-
-
-def _gp_input_batch(theta: np.ndarray, model: GpModel) -> np.ndarray:
-    k = theta.reshape(theta.shape[0], model.z_size, model.x_size)
-    return np.einsum("z,bzx,xzjk->bxjkz", model.state_dist.mass, k, model.law)
-
-
-def _batch_bounds(kind: str, j: np.ndarray, coop: float | None):
-    """Raw (r1, r2, r_sum) per batch row; axes of j are (b,u,x,y1,y2,z)."""
-    h = lambda *keep: _batch_entropy(j, tuple(keep))  # noqa: E731
-    if kind == "SD":
-        hz = h(5)
-        hy1z = h(3, 5)
-        hy2 = h(4)
-        huy2 = h(1, 4)
-        huz = h(1, 5)
-        huy1z = h(1, 3, 5)
-        r1 = hy1z - hz
-        r2 = hy2 - huy2 - hz + huz
-        rs = hy2 - huy2 - hz + huy1z
-        return r1, r2, rs
-    huz = h(1, 5)
-    r1 = h(1, 2, 5) + h(1, 3, 5) - h(1, 2, 3, 5) - huz
-    r2 = h(4) - h(1, 4) - h(5) + huz
-    if kind == "PD-IR":
-        return r1, r2, None
-    rs = h(2, 5) + h(3, 5) - h(2, 3, 5) - h(5)
-    return r1, r2 + float(coop), rs
-
-
-def _batch_support(r1, r2, rs, lam1: float, lam2: float) -> np.ndarray:
-    r1 = np.maximum(r1, 0.0)
-    r2 = np.maximum(r2, 0.0)
-    if rs is None:
-        return np.maximum(lam1 * r1 + lam2 * r2, 0.0)
-    rs = np.maximum(rs, 0.0)
-    v = np.maximum(lam1 * np.minimum(r1, rs), lam2 * np.minimum(r2, rs))
-    ok = rs >= r1
-    v = np.where(
-        ok, np.maximum(v, lam1 * r1 + lam2 * np.maximum(np.minimum(r2, rs - r1), 0.0)), v
-    )
-    ok = rs >= r2
-    v = np.where(
-        ok, np.maximum(v, lam1 * np.maximum(np.minimum(r1, rs - r2), 0.0) + lam2 * r2), v
-    )
-    return v
-
-
-def _secrecy_objective_batch(j: np.ndarray) -> np.ndarray:
-    """I(U;Y1) - I(U;Z) per row of a (b,u,x,y1,y2,z) batch."""
-    return (
-        _batch_entropy(j, (3,))
-        - _batch_entropy(j, (1, 3))
-        - _batch_entropy(j, (5,))
-        + _batch_entropy(j, (1, 5))
-    )
-
-
-def _informed_objective_batch(j: np.ndarray) -> np.ndarray:
-    """I(X;Y1|Z) per row of a (b,x,y1,y2,z) batch."""
-    return (
-        _batch_entropy(j, (1, 4))
-        + _batch_entropy(j, (2, 4))
-        - _batch_entropy(j, (1, 2, 4))
-        - _batch_entropy(j, (4,))
-    )
-
-
-# ---------------------------------------------------------------------------
-# projected block-coordinate ascent
-# ---------------------------------------------------------------------------
 
 
 def _project_simplex_rows(v: np.ndarray) -> np.ndarray:
@@ -586,23 +568,20 @@ def _dirichlet_starts(
     return out
 
 
-def _search_setup(model: WiretapModel | GpModel, u_size: int, with_u: bool):
-    """(blocks, total dim, batch joint builder) for a model's search domain."""
-    if isinstance(model, WiretapModel):
-        cells = (u_size * model.x_size) if with_u else model.x_size
-        blocks = [slice(0, cells)]
-        if with_u:
-            build = lambda th: _wt_joint_batch(th, u_size, model)  # noqa: E731
-        else:
-            build = lambda th: _wt_input_batch(th, model)  # noqa: E731
-        return blocks, cells, build
-    row = (u_size * model.x_size) if with_u else model.x_size
-    blocks = [slice(z * row, (z + 1) * row) for z in range(model.z_size)]
-    if with_u:
-        build = lambda th: _gp_joint_batch(th, u_size, model)  # noqa: E731
-    else:
-        build = lambda th: _gp_input_batch(th, model)  # noqa: E731
-    return blocks, row * model.z_size, build
+def _search_setup(model: WiretapModel | GpModel, u_size: int):
+    """(blocks, total dim, batch joint builder) for a model's search domain.
+
+    The variable is one p(u, x) block (wiretap) or one q(u, x | z) block
+    per state (GP); the builder normalizes each block before use.
+    """
+    row = u_size * model.x_size
+    rows = model.z_size if isinstance(model, GpModel) else 1
+    blocks = [slice(r * row, (r + 1) * row) for r in range(rows)]
+
+    def build(theta: np.ndarray) -> np.ndarray:
+        return _joint_batch(model, _normalize_blocks(theta, blocks), u_size)
+
+    return blocks, rows * row, build
 
 
 # ---------------------------------------------------------------------------
@@ -624,16 +603,13 @@ def _capacity_search(
 ) -> CapacityResult:
     informed = model.informed_receiver
     side = "wiretap" if isinstance(model, WiretapModel) else "gp"
-    u_size = params.u_size or default_u_size(model)
     with_u = not informed
-    blocks, total, build = _search_setup(model, u_size, with_u)
+    u_size = (params.u_size or default_u_size(model)) if with_u else 1
+    blocks, total, build = _search_setup(model, u_size)
+    objective = _SECRECY if with_u else _INFORMED
 
     def f(theta: np.ndarray) -> np.ndarray:
-        th = _normalize_blocks(theta, blocks)
-        j = build(th)
-        if with_u:
-            return _secrecy_objective_batch(j)
-        return _informed_objective_batch(j)
+        return _evaluate(build(theta), (objective,))[0]
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=params.seed, spawn_key=(0,)))
     starts = _dirichlet_starts(rng, params.capacity_restarts, blocks, total)
@@ -796,6 +772,11 @@ def region_frontier(
     each direction are recomputed through the normative scalar path from
     the winning auxiliary, so every support sample and boundary point is
     reproducible from its stored achiever.
+
+    ``metadata["unconverged_directions"]`` counts the directions on which
+    any restart ran out of ``max_passes``, so ``budget_exhausted`` holds
+    exactly when it is positive.  A sample's ``converged`` flag describes
+    its winning restart only.
     """
     params = params or SearchParams()
     _check_family_model(family, model)
@@ -803,25 +784,23 @@ def region_frontier(
     u_size = params.u_size or default_u_size(model)
     if directions is None:
         directions = sweep_directions(params.directions)
-    blocks, total, build = _search_setup(model, u_size, True)
+    blocks, total, build = _search_setup(model, u_size)
     coop = model.coop_capacity
 
     samples: list[SupportSample] = []
-    exhausted_any = False
+    unconverged = 0
     z_size = model.z_size if side == "gp" else 1
     for d_idx, (lam1, lam2) in enumerate(directions):
 
         def f(theta: np.ndarray, lam1=lam1, lam2=lam2) -> np.ndarray:
-            th = _normalize_blocks(theta, blocks)
-            r1, r2, rs = _batch_bounds(kind, build(th), coop)
-            return _batch_support(r1, r2, rs, lam1, lam2)
+            return _batch_support(*_rates(kind, build(theta), coop), lam1, lam2)
 
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=params.seed, spawn_key=(d_idx,))
         )
         starts = _dirichlet_starts(rng, params.restarts, blocks, total)
         vals, thetas, converged, exhausted = _ascend(f, blocks, starts, params)
-        exhausted_any = exhausted_any or exhausted
+        unconverged += exhausted
         best = int(np.argmax(vals))
         aux = aux_from_array(side, thetas[best], u_size, model.x_size, z_size=z_size)
         bounds = eval_rate_bounds(family, aux, model)
@@ -848,8 +827,8 @@ def region_frontier(
         "tol": params.tol,
         "seed": params.seed,
         "u_size": u_size,
-        "budget_exhausted": exhausted_any,
-        "unconverged_directions": int(sum(1 for s in samples if not s.converged)),
+        "budget_exhausted": unconverged > 0,
+        "unconverged_directions": unconverged,
     }
     return RateRegion(
         family=family, supports=tuple(samples), boundary=boundary, metadata=meta
@@ -944,7 +923,6 @@ def brute_force_oracle(
         chunks = (
             grid[i : i + _GRID_CHUNK] for i in range(0, n_points, _GRID_CHUNK)
         )
-        build = lambda th: _wt_joint_batch(th, u, model)  # noqa: E731
         z_size = 1
     else:
         row_grid = _grid_points(cells, delta, budget)
@@ -971,13 +949,12 @@ def brute_force_oracle(
                 )
 
         chunks = _gp_chunks()
-        build = lambda th: _gp_joint_batch(th, u, model)  # noqa: E731
 
     if family is None:
         best_val = -math.inf
         best_theta = None
         for chunk in chunks:
-            vals = _secrecy_objective_batch(build(chunk))
+            vals = _evaluate(_joint_batch(model, chunk, u), (_SECRECY,))[0]
             i = int(np.argmax(vals))
             if vals[i] > best_val:
                 best_val = float(vals[i])
@@ -995,9 +972,9 @@ def brute_force_oracle(
     best_vals = np.full(n_dir, -math.inf)
     best_thetas: list[np.ndarray | None] = [None] * n_dir
     for chunk in chunks:
-        r1, r2, rs = _batch_bounds(kind, build(chunk), coop)
+        rates = _rates(kind, _joint_batch(model, chunk, u), coop)
         for d, (lam1, lam2) in enumerate(directions):
-            vals = _batch_support(r1, r2, rs, lam1, lam2)
+            vals = _batch_support(*rates, lam1, lam2)
             i = int(np.argmax(vals))
             if vals[i] > best_vals[d]:
                 best_vals[d] = float(vals[i])
@@ -1055,21 +1032,19 @@ class ReducedAuxiliary:
     case2_margin: float  # I(T;Y2|V) - I(T;Z|V)
 
 
-def _vtx_joint(p_vtx: JointPmf, model: WiretapModel) -> JointPmf:
+def _sd_pair(p_vtx: JointPmf, model: WiretapModel) -> tuple[RateBounds, RateBounds]:
+    """SD bounds of a p(v, t, x) with U = V and with U = (V, T)."""
     if tuple(p_vtx.axis_names) != ("v", "t", "x"):
         raise ShapeError(f"expected axes (v, t, x), got {p_vtx.axis_names}")
     if p_vtx.axis_size("x") != model.x_size:
         raise ShapeError("x alphabet mismatch")
-    mass = np.einsum("vtx,xjkz->vtxjkz", p_vtx.mass, model.law)
-    axes = [
-        Axis("v", p_vtx.axis_size("v")),
-        Axis("t", p_vtx.axis_size("t")),
-        Axis("x", model.x_size),
-        Axis("y1", model.y1_size),
-        Axis("y2", model.y2_size),
-        Axis("z", model.z_size),
-    ]
-    return JointPmf(axes, mass)
+
+    def sd(p_ux: np.ndarray) -> RateBounds:
+        j = _joint_batch(model, p_ux.reshape(1, -1), p_ux.shape[0])
+        return _rate_bounds("SD-WT", *_rates("SD", j, None))
+
+    nv, nt, nx = p_vtx.mass.shape
+    return sd(p_vtx.mass.sum(axis=1)), sd(p_vtx.mass.reshape(nv * nt, nx))
 
 
 def two_auxiliary_bounds(p_vtx: JointPmf, model: WiretapModel) -> RateBounds:
@@ -1078,25 +1053,8 @@ def two_auxiliary_bounds(p_vtx: JointPmf, model: WiretapModel) -> RateBounds:
     R2 is bounded through V alone, the sum rate through the pair; this is
     the starting point the single-auxiliary reduction must dominate.
     """
-    joint = _vtx_joint(p_vtx, model)
-    r1 = conditional_entropy(joint, {"y1"}, {"z"})
-    raw_r2 = mutual_information(joint, {"v"}, {"y2"}) - mutual_information(
-        joint, {"v"}, {"z"}
-    )
-    raw_sum = (
-        r1
-        + mutual_information(joint, {"v", "t"}, {"y2"})
-        - mutual_information(joint, {"v", "t"}, {"y1", "z"})
-    )
-    return RateBounds(
-        family="SD-WT",
-        r1=max(r1, 0.0),
-        r2=max(raw_r2, 0.0),
-        r_sum=max(raw_sum, 0.0),
-        raw_r1=r1,
-        raw_r2=raw_r2,
-        raw_sum=raw_sum,
-    )
+    v, vt = _sd_pair(p_vtx, model)
+    return dataclasses.replace(vt, r2=v.r2, raw_r2=v.raw_r2)
 
 
 def reduce_auxiliary(p_vtx: JointPmf, model: WiretapModel) -> ReducedAuxiliary:
@@ -1110,13 +1068,12 @@ def reduce_auxiliary(p_vtx: JointPmf, model: WiretapModel) -> ReducedAuxiliary:
     flags = classify(model)
     if not flags.semi_deterministic:
         raise ClassificationError("auxiliary reduction applies to SD models")
-    joint = _vtx_joint(p_vtx, model)
-    i_ty2_v = conditional_mutual_information(joint, {"t"}, {"y2"}, {"v"})
-    case1 = i_ty2_v - conditional_mutual_information(joint, {"t"}, {"y1", "z"}, {"v"})
-    case2 = i_ty2_v - conditional_mutual_information(joint, {"t"}, {"z"}, {"v"})
-    nv = p_vtx.axis_size("v")
-    nt = p_vtx.axis_size("t")
-    nx = p_vtx.axis_size("x")
+    # I(T;B|V) = I(V,T;B) - I(V;B) turns both margins into differences of
+    # the SD sum and R2 bounds between U = (V, T) and U = V
+    v, vt = _sd_pair(p_vtx, model)
+    case1 = vt.raw_sum - v.raw_sum
+    case2 = vt.raw_r2 - v.raw_r2
+    nv, nt, nx = p_vtx.mass.shape
     if case1 <= 1e-12:
         p_ux = p_vtx.mass.sum(axis=1)
         aux = AuxiliaryDist(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wtgp import codes
 from wtgp.channels import WiretapModel, analogous_gpbc, default_state_dist
 from wtgp.codes import (
     BlockCode,
@@ -31,6 +32,7 @@ from wtgp.codes import (
     wiretap_code_from_tables,
     wiretap_encode,
 )
+from wtgp.divergence import total_variation
 from wtgp.errors import ResourceError, ShapeError
 from wtgp.pmf import Axis, FinitePmf, JointPmf
 
@@ -327,6 +329,35 @@ class TestGpTransform:
             ij = induced_joint(code, model)
             q_z = default_state_dist(model)
             assert abs(collapsed - message_state_tv(ij, q_z)) <= 1e-12
+
+    def test_collapse_enumerates_wiretap_code_once(self, monkeypatch):
+        sides = []
+        real = codes.induced_joint
+
+        def counting(code, model, *args, **kwargs):
+            sides.append(code.side)
+            return real(code, model, *args, **kwargs)
+
+        monkeypatch.setattr(codes, "induced_joint", counting)
+        code, model = make_code()
+        gp_collapse_residual(code, model)
+        assert sides == ["wiretap", "gp"]
+
+    def test_collapse_matches_two_step_transform(self):
+        # one shared enumeration gives the same numbers as inducing the GP
+        # code first and enumerating the wiretap code again
+        for seed in range(2):
+            code, model = make_code(seed=seed)
+            q_z = default_state_dist(model)
+            gp_code, gp_model = induce_gp_code(code, model, q_z)
+            ij_wt = induced_joint(code, model)
+            full = total_variation(ij_wt.joint, induced_joint(gp_code, gp_model).joint)
+            collapsed = message_state_tv(ij_wt, q_z)
+            assert gp_collapse_residual(code, model, q_z) == (
+                abs(full - collapsed),
+                full,
+                collapsed,
+            )
 
     def test_error_probability_triangle(self):
         for seed in range(3):

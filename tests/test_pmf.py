@@ -10,9 +10,7 @@ from wtgp.pmf import (
     JointPmf,
     StochasticKernel,
     aligned_masses,
-    condition,
     iid_extension,
-    marginalize,
 )
 
 
@@ -182,9 +180,3 @@ def test_aligned_masses_permutes_second():
     r = j.reordered(["y", "x"])
     a, b = aligned_masses(j, r)
     np.testing.assert_array_equal(a, b)
-
-
-def test_module_level_wrappers():
-    j = JointPmf([Axis("x", 2), Axis("y", 2)], [[0.4, 0.1], [0.1, 0.4]])
-    np.testing.assert_allclose(marginalize(j, ["x"]).mass, [0.5, 0.5], atol=1e-15)
-    np.testing.assert_allclose(condition(j, ["x"]).row(0), [0.8, 0.2], atol=1e-15)

@@ -293,6 +293,25 @@ class TestFrontier:
         for s, o in zip(region.supports, oracle.supports):
             assert s.value >= o.value - 1e-3
 
+    def test_unconverged_directions_count_exhausted_directions(self):
+        model = noiseless_const_z()
+        dirs = sweep_directions(5)
+
+        def run(max_passes):
+            params = quick_params(max_passes=max_passes)
+            region = region_frontier("SD-WT", model, params, dirs)
+            meta = region.metadata
+            assert meta["budget_exhausted"] == (meta["unconverged_directions"] > 0)
+            winners = sum(not s.converged for s in region.supports)
+            return meta["unconverged_directions"], winners
+
+        # one pass leaves restarts still improving on every direction
+        assert run(1) == (5, 5)
+        # after five passes four directions still have an improving
+        # restart, though only one direction's winning restart does
+        assert run(5) == (4, 1)
+        assert run(400) == (0, 0)
+
     def test_capacity_oracle_degraded(self):
         oracle = brute_force_oracle(degraded_wiretap(), delta=0.1, u_size=3)
         assert abs(oracle.value - DEGRADED_01_02) <= 5e-3
