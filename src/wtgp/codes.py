@@ -16,8 +16,15 @@ encoded as y1 * |Z| + z.
 P(m1, m2, x^n, y1^n, y2^n, z^n, mh1, mh2), either by exact enumeration
 (weighted-term budget checked) or by Monte Carlo over a counter-based
 Philox stream keyed by (seed, trial block), which makes trial blocks
-order-independent.  Exact joints support three identities used as test
-anchors and CLI diagnostics:
+order-independent.  Exact enumeration is one product for both sides:
+weight(m1, m2, x^n, z^n) x kernel(x^n -> y1^n, y2^n, z^n), placed at the
+decoder outputs (mh1, mh2) that (y1^n, y2^n, z^n) fix.  A wiretap code's
+weight is unif x its encoder kernel and its kernel the n-letter power of
+the channel law; a GP code's weight is (unif x q_Z^n) x its encoder table
+and its kernel the power of the state-dependent law.  From (m, z^n) on,
+a wiretap code and the GP code it induces share that kernel.  Exact
+joints support three identities used as test anchors and CLI
+diagnostics, and a gap beyond rounding raises ``NumericalError``:
 
 * error probability equals the total variation between the (M, Mh)
   marginal and uniform-messages-correctly-decoded;
@@ -49,8 +56,8 @@ from .divergence import (
     relative_entropy,
     total_variation,
 )
-from .errors import ResourceError, ShapeError
-from .pmf import Axis, FinitePmf, JointPmf, StochasticKernel
+from .errors import NumericalError, ResourceError, ShapeError
+from .pmf import Axis, FinitePmf, JointPmf
 
 DEFAULT_ENUM_BUDGET = 10**8
 DEFAULT_TABLE_BUDGET = 1 << 20
@@ -80,12 +87,22 @@ def _seq_digits(indices: np.ndarray, base: int, n: int) -> np.ndarray:
     return out
 
 
-def _iid_seq_mass(p: np.ndarray, n: int) -> np.ndarray:
-    """Product probabilities over all base**n sequences, flat."""
-    out = np.asarray(p, dtype=np.float64)
+def _seq_power(law: np.ndarray, n: int) -> np.ndarray:
+    """n-letter power of a per-letter law, one flat sequence axis per law axis.
+
+    Entry (s_1, ..., s_k) is the product over letters of
+    law[s_1[i], ..., s_k[i]], taken first letter first.  A vector gives
+    the iid mass of all its base**n sequences.
+    """
+    law = np.asarray(law, dtype=np.float64)
+    # each step appends one letter to every sequence axis as its least
+    # significant digit, so the axes never need a transpose
+    letter = law.reshape([s for d in law.shape for s in (1, d)])
+    out = law
     for _ in range(n - 1):
-        out = np.multiply.outer(out, p)
-    return out.reshape(-1)
+        prefix = out.reshape([s for d in out.shape for s in (d, 1)])
+        out = (prefix * letter).reshape([a * b for a, b in zip(out.shape, law.shape)])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -553,142 +570,50 @@ def _obs1_index_table(code: BlockCode, n: int) -> np.ndarray:
     return _seq_index(pair.reshape(-1, n), code.obs1_size).reshape(y1f, zf)
 
 
-def _channel_tensor(law_rows: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """Product channel over a letter sequence.
+def _exact_joint(code: BlockCode, model: WiretapModel | GpModel, budget: int) -> JointPmf:
+    """Every code run as weight(m1, m2, x^n, z^n) x kernel(x^n -> y1^n, y2^n, z^n).
 
-    ``law_rows[letter]`` is the per-letter output tensor; the result is
-    flattened per output axis with the first letter most significant.
+    The wiretap weight is unif x the encoder kernel, the same for every
+    z^n, and the kernel is the n-letter power of the channel law.  The GP
+    weight is (unif x q_Z^n) x the encoder table, and the kernel is the
+    power of the state-dependent law with z moved last.  (y1^n, y2^n, z^n)
+    fix the decoder outputs, so each product lands in one (mh1, mh2) cell;
+    only nonzero branches are written, which leaves the pages of the
+    other branches untouched.
     """
-    n = letters.shape[0]
-    out_shape = law_rows.shape[1:]
-    t = law_rows[letters[0]]
-    for i in range(1, n):
-        t = np.multiply.outer(t, law_rows[letters[i]])
-    k = len(out_shape)
-    perm = [pos * k + axis for axis in range(k) for pos in range(n)]
-    t = np.transpose(t.reshape(out_shape * n), perm)
-    return t.reshape(tuple(s**n for s in out_shape))
-
-
-def _wt_branches(code: BlockCode):
-    """Yield (m1, m2, weight, flat x-seq index) encoder branches."""
-    if code.codebook is not None:
+    n = code.n
+    m1s, m2s = code.m1_size, code.m2_size
+    xf, y1f, y2f, zf = (s**n for s in (code.x_size, code.y1_size, code.y2_size, code.z_size))
+    if code.side == "gp":
+        terms = int((code.encoder_table > 0).sum()) * y1f * y2f
+    elif code.codebook is not None:
         cb = code.codebook
-        w = 1.0 / (cb.m1_size * cb.m2_size * cb.w1_size * cb.w2_size)
-        for m1 in range(cb.m1_size):
-            for w1 in range(cb.w1_size):
-                for m2 in range(cb.m2_size):
-                    for w2 in range(cb.w2_size):
-                        xf = int(_seq_index(cb.outer[m1, w1, m2, w2], cb.x_size))
-                        yield m1, m2, w, xf
+        terms = cb.m1_size * cb.m2_size * cb.w1_size * cb.w2_size * y1f * y2f * zf
     else:
-        unif = 1.0 / (code.m1_size * code.m2_size)
-        enc = code.encoder_table
-        for m1 in range(code.m1_size):
-            for m2 in range(code.m2_size):
-                for xf in np.flatnonzero(enc[m1, m2]):
-                    yield m1, m2, unif * float(enc[m1, m2, xf]), int(xf)
-
-
-def _branch_count(code: BlockCode) -> int:
-    if code.codebook is not None:
-        cb = code.codebook
-        return cb.m1_size * cb.m2_size * cb.w1_size * cb.w2_size
-    return code.m1_size * code.m2_size * int((code.encoder_table > 0).sum())
-
-
-def _exact_wiretap(code: BlockCode, model: WiretapModel, budget: int) -> JointPmf:
-    n = code.n
-    y1f = model.y1_size**n
-    y2f = model.y2_size**n
-    zf = model.z_size**n
-    xf_size = model.x_size**n
-    terms = _branch_count(code) * y1f * y2f * zf
-    cells = code.m1_size * code.m2_size * xf_size * y1f * y2f * zf
-    cells *= code.m1_size * code.m2_size
+        terms = m1s * m2s * int((code.encoder_table > 0).sum()) * y1f * y2f * zf
+    cells = m1s * m2s * xf * y1f * y2f * zf
+    cells *= m1s * m2s
     if terms > budget or cells > budget:
         raise ResourceError(
             f"exact enumeration needs {terms} weighted terms and {cells} cells, "
             f"budget is {budget}"
         )
-    obs1 = _obs1_index_table(code, n)
-    mh1_of = code.dec1[obs1]  # (y1f, zf)
-    mh2_of = code.dec2[np.arange(y2f)]  # (y2f,)
-    out = np.zeros(
-        (code.m1_size, code.m2_size, xf_size, y1f, y2f, zf, code.m1_size, code.m2_size)
+    unif = 1.0 / (m1s * m2s)
+    if code.side == "gp":
+        base = unif * _seq_power(model.state_dist.mass, n)  # (zf,)
+        weight = np.moveaxis(base[:, None] * code.encoder_table, 2, 3)
+        kernel = _seq_power(np.moveaxis(model.law, 1, -1), n)
+    else:
+        weight = np.broadcast_to((unif * encoder_kernel(code))[..., None], (m1s, m2s, xf, zf))
+        kernel = _seq_power(model.law, n)
+    b1, b2, bx, bz = (i[:, None, None] for i in np.nonzero(weight))
+    iy1 = np.arange(y1f)[:, None]
+    iy2 = np.arange(y2f)
+    mh1 = code.dec1[_obs1_index_table(code, n)]  # (y1f, zf)
+    out = np.zeros((m1s, m2s, xf, y1f, y2f, zf, m1s, m2s))
+    out[b1, b2, bx, iy1, iy2, bz, mh1[iy1, bz], code.dec2[iy2]] = (
+        weight[b1, b2, bx, bz] * kernel[bx, iy1, iy2, bz]
     )
-    iy1, iy2, iz = np.meshgrid(
-        np.arange(y1f), np.arange(y2f), np.arange(zf), indexing="ij"
-    )
-    imh1 = mh1_of[iy1, iz]
-    imh2 = np.broadcast_to(mh2_of[iy2], iy1.shape)
-    law_rows = model.law  # (x, y1, y2, z)
-    tensors: dict[int, np.ndarray] = {}
-    for m1, m2, w, xfi in _wt_branches(code):
-        t = tensors.get(xfi)
-        if t is None:
-            letters = _seq_digits(np.array(xfi), model.x_size, n).reshape(-1)
-            t = _channel_tensor(law_rows, letters)
-            tensors[xfi] = t
-        np.add.at(out[m1, m2, xfi], (iy1, iy2, iz, imh1, imh2), w * t)
-    return JointPmf(_full_axes(code), out)
-
-
-def _exact_gp(code: BlockCode, model: GpModel, budget: int) -> JointPmf:
-    n = code.n
-    y1f = model.y1_size**n
-    y2f = model.y2_size**n
-    zf = model.z_size**n
-    xf_size = model.x_size**n
-    enc = code.encoder_table  # (m1, m2, zf, xf)
-    support = int((enc > 0).sum())
-    terms = support * y1f * y2f
-    cells = code.m1_size * code.m2_size * xf_size * y1f * y2f * zf
-    cells *= code.m1_size * code.m2_size
-    if terms > budget or cells > budget:
-        raise ResourceError(
-            f"exact enumeration needs {terms} weighted terms and {cells} cells, "
-            f"budget is {budget}"
-        )
-    qzn = _iid_seq_mass(model.state_dist.mass, n)  # (zf,)
-    obs1 = _obs1_index_table(code, n)
-    mh1_of = code.dec1[obs1]
-    iy1, iy2 = np.meshgrid(np.arange(y1f), np.arange(y2f), indexing="ij")
-    imh2 = np.broadcast_to(code.dec2[iy2], iy1.shape)
-    unif = 1.0 / (code.m1_size * code.m2_size)
-    out = np.zeros(
-        (code.m1_size, code.m2_size, xf_size, y1f, y2f, zf, code.m1_size, code.m2_size)
-    )
-    # per (x-seq, z-seq) product channels over (y1, y2), built lazily
-    tensors: dict[tuple[int, int], np.ndarray] = {}
-    for m1 in range(code.m1_size):
-        for m2 in range(code.m2_size):
-            for zi in range(zf):
-                base = unif * qzn[zi]
-                if base == 0.0:
-                    continue
-                row = enc[m1, m2, zi]
-                for xfi in np.flatnonzero(row):
-                    t = tensors.get((int(xfi), zi))
-                    if t is None:
-                        lx = _seq_digits(np.array(int(xfi)), model.x_size, n).reshape(-1)
-                        lz = _seq_digits(np.array(zi), model.z_size, n).reshape(-1)
-                        pair_rows = model.law[lx, lz]  # (n, y1, y2) per-letter laws
-                        t = pair_rows[0]
-                        for i in range(1, n):
-                            t = np.multiply.outer(t, pair_rows[i])
-                        perm = [pos * 2 + axis for axis in range(2) for pos in range(n)]
-                        t = np.transpose(
-                            t.reshape((model.y1_size, model.y2_size) * n), perm
-                        ).reshape(y1f, y2f)
-                        tensors[(int(xfi), zi)] = t
-                    w = base * float(row[xfi])
-                    mh1_col = mh1_of[:, zi]
-                    np.add.at(
-                        out[m1, m2, xfi, :, :, zi],
-                        (iy1, iy2, mh1_col[iy1], imh2),
-                        w * t,
-                    )
     return JointPmf(_full_axes(code), out)
 
 
@@ -795,38 +720,25 @@ def _mc_counts(
     t0: int,
     t1: int,
     seed: int,
-) -> np.ndarray:
-    """Trial counts over (m1, m2, mh1, mh2, flat z^n) for trials [t0, t1)."""
-    m1s, m2s = code.m1_size, code.m2_size
-    zf_size = code.z_size**code.n
-    counts = np.zeros(m1s * m2s * m1s * m2s * zf_size, dtype=np.int64)
-    for m1, m2, mh1, mh2, zfi in _mc_draws(code, model, t0, t1, seed):
-        flat = (((m1 * m2s + m2) * m1s + mh1) * m2s + mh2) * zf_size + zfi
-        counts += np.bincount(flat, minlength=counts.size)
-    return counts.reshape(m1s, m2s, m1s, m2s, zf_size)
+    views: Sequence[tuple[str, ...]],
+) -> list[np.ndarray]:
+    """Trial counts of trials [t0, t1) over each requested view.
 
-
-def _mc_split_counts(
-    code: BlockCode,
-    model: WiretapModel | GpModel,
-    t0: int,
-    t1: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal trial counts (m1, m2, mh1, mh2) and (m1, m2, flat z^n).
-
-    Same draw stream as _mc_counts; the marginal pair is all the trend
-    metrics need and stays small when the message set is large.
+    A view names its axes from (m1, m2, mh1, mh2, z), where z is the flat
+    z^n index; every view counts the same draws, so a view that drops
+    axes is the marginal of one that keeps them.
     """
     m1s, m2s = code.m1_size, code.m2_size
-    zf_size = code.z_size**code.n
-    rel = np.zeros(m1s * m2s * m1s * m2s, dtype=np.int64)
-    sec = np.zeros(m1s * m2s * zf_size, dtype=np.int64)
-    for m1, m2, mh1, mh2, zfi in _mc_draws(code, model, t0, t1, seed):
-        mm = m1 * m2s + m2
-        rel += np.bincount((mm * m1s + mh1) * m2s + mh2, minlength=rel.size)
-        sec += np.bincount(mm * zf_size + zfi, minlength=sec.size)
-    return rel.reshape(m1s, m2s, m1s, m2s), sec.reshape(m1s, m2s, zf_size)
+    sizes = {"m1": m1s, "m2": m2s, "mh1": m1s, "mh2": m2s, "z": code.z_size**code.n}
+    counts = [np.zeros([sizes[a] for a in view], dtype=np.int64) for view in views]
+    for draw in _mc_draws(code, model, t0, t1, seed):
+        idx = dict(zip(("m1", "m2", "mh1", "mh2", "z"), draw))
+        for count, view in zip(counts, views):
+            flat = idx[view[0]]
+            for a in view[1:]:
+                flat = flat * sizes[a] + idx[a]
+            count += np.bincount(flat, minlength=count.size).reshape(count.shape)
+    return counts
 
 
 def induced_joint(
@@ -855,13 +767,8 @@ def induced_joint(
     ):
         raise ShapeError("code and model alphabets do not match")
     if mode == "exact":
-        joint = (
-            _exact_wiretap(code, model, budget)
-            if code.side == "wiretap"
-            else _exact_gp(code, model, budget)
-        )
         return InducedJoint(
-            joint=joint,
+            joint=_exact_joint(code, model, budget),
             side=code.side,
             n=code.n,
             mode="exact",
@@ -872,10 +779,10 @@ def induced_joint(
         raise ValueError("mode must be 'exact' or 'mc'")
     if not trials or trials < 1:
         raise ValueError("mc mode needs a positive trial count")
-    counts = _mc_counts(code, model, 0, int(trials), seed)
+    (counts,) = _mc_counts(code, model, 0, int(trials), seed, [("m1", "m2", "mh1", "mh2", "z")])
     n = code.n
     axes = _secrecy_axes(code)
-    mass = (counts / float(trials)).reshape([ax.size for ax in axes[:4]] + [code.z_size] * n)
+    mass = (counts / float(trials)).reshape([ax.size for ax in axes])
     return InducedJoint(
         joint=JointPmf(axes, mass),
         side=code.side,
@@ -909,7 +816,7 @@ def _message_target(ij: InducedJoint, q_z: FinitePmf | None) -> JointPmf:
     else:
         if q_z.alphabet_size != zs:
             raise ShapeError("q_z alphabet does not match the induced joint")
-        qzn = _iid_seq_mass(q_z.mass, n)
+        qzn = _seq_power(q_z.mass, n)
         axes = [Axis("m1", m1s), Axis("m2", m2s), Axis("mh1", m1s), Axis("mh2", m2s)]
         axes += [Axis(f"z{i + 1}", zs) for i in range(n)]
         shape = (m1s, m2s, m1s, m2s) + (zs,) * n
@@ -921,20 +828,29 @@ def _message_target(ij: InducedJoint, q_z: FinitePmf | None) -> JointPmf:
     return JointPmf(axes, mass.reshape(shape))
 
 
+def _error_terms(ij: InducedJoint) -> tuple[float, JointPmf]:
+    """Unclipped P_e and the (m1, m2, mh1, mh2) marginal it is read from."""
+    names = ["m1", "m2", "mh1", "mh2"]
+    marg = ij.joint.marginalize(names).reordered(names)
+    return 1.0 - float(np.einsum("abab->", marg.mass)), marg
+
+
 def error_probability(ij: InducedJoint) -> float:
     """P[(mh1, mh2) != (m1, m2)] under the induced joint.
 
     For exact joints this equals the total variation to the
-    uniform-and-correct target; the equality is asserted.
+    uniform-and-correct target; a larger gap than 1e-12 raises
+    NumericalError.
     """
-    marg = ij.joint.marginalize(["m1", "m2", "mh1", "mh2"]).reordered(
-        ["m1", "m2", "mh1", "mh2"]
-    )
-    pe = 1.0 - float(np.einsum("abab->", marg.mass))
+    pe, marg = _error_terms(ij)
     pe = min(max(pe, 0.0), 1.0)
     if ij.mode == "exact":
         tv = total_variation(marg, _message_target(ij, None))
-        assert abs(pe - tv) <= 1e-12
+        if not abs(pe - tv) <= 1e-12:
+            raise NumericalError(
+                f"error probability {pe!r} and total variation {tv!r} differ "
+                f"by {abs(pe - tv)!r}, tolerance 1e-12"
+            )
     return pe
 
 
@@ -950,7 +866,7 @@ def message_state_tv(ij: InducedJoint, q_z: FinitePmf) -> float:
     names = ["m1", "m2", *ij.z_axes]
     marg = ij.joint.marginalize(names).reordered(names)
     j = ij.joint
-    qzn = _iid_seq_mass(q_z.mass, ij.n)
+    qzn = _seq_power(q_z.mass, ij.n)
     unif = 1.0 / (j.axis_size("m1") * j.axis_size("m2"))
     mass = unif * np.broadcast_to(
         qzn.reshape((1, 1) + (q_z.alphabet_size,) * ij.n),
@@ -985,15 +901,19 @@ def effective_secrecy(ij: InducedJoint, q_z: FinitePmf) -> SecrecyReport:
     z_marg = marg.marginalize(ij.z_axes).reordered(ij.z_axes)
     if q_z.alphabet_size != z_marg.axes[0].size:
         raise ShapeError("q_z alphabet does not match the induced joint")
-    qzn_mass = _iid_seq_mass(q_z.mass, ij.n).reshape(z_marg.mass.shape)
+    qzn_mass = _seq_power(q_z.mass, ij.n).reshape(z_marg.mass.shape)
     stealth = relative_entropy(z_marg, JointPmf(z_marg.axes, qzn_mass))
     m_marg = marg.marginalize(["m1", "m2"]).reordered(["m1", "m2"])
     unif = JointPmf(m_marg.axes, np.full(m_marg.mass.shape, 1.0 / m_marg.mass.size))
     message_div = relative_entropy(m_marg, unif)
     unif_q = np.multiply.outer(unif.mass, qzn_mass).reshape(marg.mass.shape)
     total = relative_entropy(marg, JointPmf(marg.axes, unif_q))
-    if math.isfinite(total):
-        assert abs(total - (leakage + stealth + message_div)) <= 1e-10
+    residual = abs(total - (leakage + stealth + message_div))
+    if math.isfinite(total) and not residual <= 1e-10:
+        raise NumericalError(
+            f"effective secrecy {total!r} differs from leakage + stealth + "
+            f"message divergence by {residual!r}, tolerance 1e-10"
+        )
     return SecrecyReport(
         leakage=leakage,
         stealth=stealth,
@@ -1004,12 +924,8 @@ def effective_secrecy(ij: InducedJoint, q_z: FinitePmf) -> SecrecyReport:
 
 def reliability_identity_residual(ij: InducedJoint) -> float:
     """|P_e - TV((M, Mh) marginal, uniform-and-correct)|; zero when exact."""
-    marg = ij.joint.marginalize(["m1", "m2", "mh1", "mh2"]).reordered(
-        ["m1", "m2", "mh1", "mh2"]
-    )
-    pe = 1.0 - float(np.einsum("abab->", marg.mass))
-    tv = total_variation(marg, _message_target(ij, None))
-    return abs(pe - tv)
+    pe, marg = _error_terms(ij)
+    return abs(pe - total_variation(marg, _message_target(ij, None)))
 
 
 def secrecy_identity_residual(ij: InducedJoint, q_z: FinitePmf) -> float:
@@ -1062,21 +978,12 @@ def _gp_code_from_joint(wt_code: BlockCode, ij: InducedJoint) -> BlockCode:
         (int(c[0]), int(c[1]), int(_seq_index(np.array(c[2:]), wt_code.z_size)))
         for c in kern.filled_rows
     )
-    return BlockCode(
+    return dataclasses.replace(
+        wt_code,
         side="gp",
-        n=n,
-        m1_size=wt_code.m1_size,
-        m2_size=wt_code.m2_size,
-        rates=wt_code.rates,
-        informed=wt_code.informed,
-        u_size=wt_code.u_size,
-        x_size=wt_code.x_size,
-        y1_size=wt_code.y1_size,
-        y2_size=wt_code.y2_size,
-        z_size=wt_code.z_size,
-        eps=wt_code.eps,
-        dec1=wt_code.dec1,
-        dec2=wt_code.dec2,
+        codebook=None,
+        ref1=None,
+        ref2=None,
         encoder_table=enc,
         encoder_filled=filled,
         meta=dict(wt_code.meta),
@@ -1258,7 +1165,10 @@ def simulate_trend(
         pe_batches = []
         sec_batches = []
         for b in range(params.batches):
-            rel, sec = _mc_split_counts(code, model, b * per, (b + 1) * per, params.seed)
+            rel, sec = _mc_counts(
+                code, model, b * per, (b + 1) * per, params.seed,
+                [("m1", "m2", "mh1", "mh2"), ("m1", "m2", "z")],
+            )
             pe_batches.append(error_probability(_ij(axes[:4], rel, rel.shape, per)))
             sec_batches.append(
                 effective_secrecy(_ij(axes[:2] + axes[4:], sec, sec_shape, per), q_z).total

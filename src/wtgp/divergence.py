@@ -32,7 +32,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericalError, ShapeError
 from .pmf import FinitePmf, JointPmf, aligned_masses
 
 Dist = Union[FinitePmf, JointPmf]
@@ -57,7 +57,12 @@ def total_variation(p: Dist, q: Dist) -> float:
     diff = pm - qm
     tv = 0.5 * float(np.abs(diff).sum())
     # one-sided form max_A (p(A) - q(A)) must agree with the half-L1 form
-    assert abs(tv - float(diff[diff > 0].sum())) <= 1e-12
+    residual = abs(tv - float(diff[diff > 0].sum()))
+    if not residual <= 1e-12:
+        raise NumericalError(
+            f"half-L1 and one-sided total variation differ by {residual!r}, "
+            "tolerance 1e-12"
+        )
     return tv
 
 
@@ -99,6 +104,13 @@ def conditional_entropy(
     return entropy(joint, target | given) - entropy(joint, given)
 
 
+def _clamp_information(val: float, what: str) -> float:
+    """Clamp rounding below zero to 0; below -1e-10 is a NumericalError."""
+    if not val > -1e-10:
+        raise NumericalError(f"{what} is {val!r}, below the tolerance -1e-10")
+    return val if val > 0.0 else 0.0
+
+
 def mutual_information(
     joint: JointPmf, left: Iterable[str], right: Iterable[str]
 ) -> float:
@@ -121,8 +133,7 @@ def mutual_information(
     supp = pm > 0.0
     # joint support is inside the product support, so the ratio is finite
     val = float(np.sum(pm[supp] * np.log2(pm[supp] / qm[supp])))
-    assert val > -1e-10
-    return val if val > 0.0 else 0.0
+    return _clamp_information(val, "mutual information")
 
 
 def conditional_mutual_information(
@@ -147,8 +158,7 @@ def conditional_mutual_information(
         - entropy(joint, left | right | given)
         - entropy(joint, given)
     )
-    assert val > -1e-10
-    return val if val > 0.0 else 0.0
+    return _clamp_information(val, "conditional mutual information")
 
 
 def empirical_pmf(seq: Sequence[int], alphabet_size: int) -> FinitePmf:

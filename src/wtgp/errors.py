@@ -49,3 +49,10 @@ class RowSumError(ChannelFormatError):
 class AlphabetMismatchError(ChannelFormatError):
     code = "alphabet-mismatch"
     exit_status = 7
+
+
+class NumericalError(WtgpError):
+    """An exact identity or sign guard failed beyond its rounding tolerance."""
+
+    code = "numerical"
+    exit_status = 8

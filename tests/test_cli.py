@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from wtgp import cli
 from wtgp.channels import WiretapModel, model_to_dict
 from wtgp.cli import main
+from wtgp.errors import NumericalError
 
 
 def bsc(p):
@@ -297,3 +299,14 @@ class TestErrorReporting:
         )
         assert status == 5
         assert "restart" in json.loads(err)["error"]["message"]
+
+    def test_numerical_status(self, capsys, monkeypatch, product_channel):
+        def broken(*args, **kwargs):
+            raise NumericalError("total variation residual 3e-09, tolerance 1e-12")
+
+        monkeypatch.setattr(cli, "gp_collapse_residual", broken)
+        status, _, err = run(capsys, "compare", "--channel", product_channel)
+        assert status == 8
+        doc = json.loads(err)["error"]
+        assert doc["code"] == "numerical"
+        assert "3e-09" in doc["message"]

@@ -1,10 +1,17 @@
 """Block codes: codebooks, decode tables, induced joints, and the converse."""
 
+import dataclasses
+import itertools
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wtgp
 from wtgp import codes
 from wtgp.channels import WiretapModel, analogous_gpbc, default_state_dist
 from wtgp.codes import (
@@ -12,7 +19,6 @@ from wtgp.codes import (
     CodeRates,
     SimParams,
     _mc_counts,
-    _mc_split_counts,
     effective_secrecy,
     encoder_kernel,
     error_probability,
@@ -252,20 +258,162 @@ class TestInducedJointExact:
             induced_joint(code, model, budget=3)
 
 
+FULL_VIEW = ("m1", "m2", "mh1", "mh2", "z")
+
+
+def brute_force_joint(code, model):
+    """Exact induced joint by explicit loops over every code run.
+
+    Loops over messages, local randomness (or encoder rows), x^n, y1^n,
+    y2^n and z^n, and multiplies per-letter law entries; the axis order
+    is that of ``induced_joint``.
+    """
+    n = code.n
+    m1s, m2s = code.m1_size, code.m2_size
+    xs, y1s, y2s, zs = code.x_size, code.y1_size, code.y2_size, code.z_size
+
+    def seqs(size):
+        return itertools.product(range(size), repeat=n)
+
+    def flat(seq, base):
+        return sum(int(a) * base ** (n - 1 - i) for i, a in enumerate(seq))
+
+    branches = []  # (m1, m2, z^n or None for every z^n, x^n, weight)
+    if code.side == "gp":
+        for m1, m2, z, x in itertools.product(range(m1s), range(m2s), seqs(zs), seqs(xs)):
+            qz = math.prod(model.state_dist.mass[a] for a in z)
+            row = code.encoder_table[m1, m2, flat(z, zs)]
+            branches.append((m1, m2, z, x, qz * row[flat(x, xs)] / (m1s * m2s)))
+    elif code.codebook is not None:
+        cb = code.codebook
+        w = 1.0 / (m1s * m2s * cb.w1_size * cb.w2_size)
+        for m1, w1, m2, w2 in itertools.product(
+            range(m1s), range(cb.w1_size), range(m2s), range(cb.w2_size)
+        ):
+            branches.append((m1, m2, None, tuple(cb.outer[m1, w1, m2, w2]), w))
+    else:
+        for m1, m2, x in itertools.product(range(m1s), range(m2s), seqs(xs)):
+            p = code.encoder_table[m1, m2, flat(x, xs)]
+            branches.append((m1, m2, None, x, p / (m1s * m2s)))
+
+    out = np.zeros((m1s, m2s) + (xs,) * n + (y1s,) * n + (y2s,) * n + (zs,) * n + (m1s, m2s))
+    for m1, m2, zb, x, w in branches:
+        if w == 0.0:
+            continue
+        z_seqs = seqs(zs) if zb is None else [zb]
+        for y1, y2, z in itertools.product(list(seqs(y1s)), list(seqs(y2s)), list(z_seqs)):
+            if code.side == "gp":
+                ch = math.prod(model.law[x[i], z[i], y1[i], y2[i]] for i in range(n))
+            else:
+                ch = math.prod(model.law[x[i], y1[i], y2[i], z[i]] for i in range(n))
+            if code.informed:
+                mh1 = code.dec1[flat([y1[i] * zs + z[i] for i in range(n)], y1s * zs)]
+            else:
+                mh1 = code.dec1[flat(y1, y1s)]
+            mh2 = code.dec2[flat(y2, y2s)]
+            out[(m1, m2, *x, *y1, *y2, *z, mh1, mh2)] += w * ch
+    return out
+
+
+def random_decoders(code, seed):
+    """``code`` with uniformly random decode tables.
+
+    The typicality decoders of the small fixtures send every observation
+    to message 0, which would leave the (mh1, mh2) placement unchecked.
+    """
+    rng = np.random.default_rng(seed)
+    return dataclasses.replace(
+        code,
+        dec1=rng.integers(0, code.m1_size, code.dec1.size),
+        dec2=rng.integers(0, code.m2_size, code.dec2.size),
+    )
+
+
+class TestExactReference:
+    """induced_joint(mode="exact") against the brute-force loops, cell by cell."""
+
+    def check(self, code, model):
+        got = induced_joint(code, model).joint.mass
+        np.testing.assert_allclose(got, brute_force_joint(code, model), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("informed", [False, True])
+    def test_codebook_wiretap_code(self, informed):
+        code, model = make_code(model=product_model(informed_receiver=informed))
+        self.check(random_decoders(code, 1), model)
+
+    def test_table_encoder_wiretap_code(self):
+        model = product_model()
+        rng = np.random.default_rng(4)
+        enc = rng.dirichlet(np.ones(4), size=(2, 2))
+        enc[0, 1, 2] = 0.0  # a zero branch
+        enc[0, 1] /= enc[0, 1].sum()
+        code = wiretap_code_from_tables(
+            model, 2, enc, rng.integers(0, 2, 4), rng.integers(0, 2, 4)
+        )
+        self.check(code, model)
+
+    def test_induced_gp_code(self):
+        code, model = make_code(model=product_model(informed_receiver=True))
+        self.check(*induce_gp_code(random_decoders(code, 2), model))
+
+    @pytest.mark.parametrize("informed", [False, True])
+    def test_random_gp_code(self, informed):
+        gp_model = analogous_gpbc(
+            pp_model(informed_receiver=informed), FinitePmf([0.3, 0.7])
+        )
+        self.check(random_gp_code(gp_model, 2, 3, seed=6), gp_model)
+
+
+class TestNumericalGuards:
+    # P_e = 0.3 but the TV to uniform-and-correct is 0.5: the message
+    # marginal is not uniform, so the reliability identity cannot hold
+    SCRIPT = """
+import numpy as np
+from wtgp.codes import InducedJoint, error_probability
+from wtgp.errors import NumericalError
+from wtgp.pmf import Axis, JointPmf
+
+mass = np.zeros((2, 1, 2, 1, 1))
+mass[0, 0, 0, 0, 0] = 0.7
+mass[1, 0, 0, 0, 0] = 0.3
+axes = [Axis("m1", 2), Axis("m2", 1), Axis("mh1", 2), Axis("mh2", 1), Axis("z1", 1)]
+ij = InducedJoint(JointPmf(axes, mass), "wiretap", 1, "exact", None, {})
+try:
+    print("returned", error_probability(ij))
+except NumericalError as exc:
+    print(exc.code, exc.exit_status, exc)
+"""
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_broken_reliability_identity_raises(self, flags):
+        src = os.path.dirname(os.path.dirname(wtgp.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        res = subprocess.run(
+            [sys.executable, *flags, "-c", self.SCRIPT],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            check=True,
+        )
+        assert res.stdout.startswith("numerical 8 "), res.stdout
+        residual = float(re.search(r"differ by (\S+),", res.stdout).group(1))
+        assert abs(residual - 0.2) <= 1e-12
+
+
 class TestMonteCarlo:
     def test_partition_invariance(self):
         code, model = make_code()
-        whole = _mc_counts(code, model, 0, 6000, seed=11)
-        parts = (
-            _mc_counts(code, model, 0, 2500, seed=11)
-            + _mc_counts(code, model, 2500, 6000, seed=11)
-        )
-        np.testing.assert_array_equal(whole, parts)
+        (whole,) = _mc_counts(code, model, 0, 6000, 11, [FULL_VIEW])
+        (first,) = _mc_counts(code, model, 0, 2500, 11, [FULL_VIEW])
+        (second,) = _mc_counts(code, model, 2500, 6000, 11, [FULL_VIEW])
+        np.testing.assert_array_equal(whole, first + second)
 
     def test_split_counts_are_marginals_of_full(self):
         code, model = make_code()
-        full = _mc_counts(code, model, 0, 5000, seed=3)
-        rel, sec = _mc_split_counts(code, model, 0, 5000, seed=3)
+        (full,) = _mc_counts(code, model, 0, 5000, 3, [FULL_VIEW])
+        rel, sec = _mc_counts(
+            code, model, 0, 5000, 3, [("m1", "m2", "mh1", "mh2"), ("m1", "m2", "z")]
+        )
         np.testing.assert_array_equal(rel, full.sum(axis=4))
         np.testing.assert_array_equal(sec, full.sum(axis=(2, 3)))
 
