@@ -32,6 +32,7 @@ from .channels import (
 )
 from .codes import (
     DEFAULT_ENUM_BUDGET,
+    DEFAULT_TABLE_BUDGET,
     CodeRates,
     SimParams,
     effective_secrecy,
@@ -70,6 +71,7 @@ _SIM_KEYS = (
     "batches",
     "mode",
     "budget",
+    "table_budget",
     "rates",
     "p_ux",
     "seed",
@@ -219,6 +221,7 @@ def _run_simulate(args) -> tuple[dict, int]:
         "batches": 10,
         "mode": "mc",
         "budget": DEFAULT_ENUM_BUDGET,
+        "table_budget": DEFAULT_TABLE_BUDGET,
         "rates": None,
         "p_ux": None,
         "seed": 0,
@@ -250,6 +253,7 @@ def _run_simulate(args) -> tuple[dict, int]:
                 trials=int(cfg["trials"]),
                 batches=int(cfg["batches"]),
                 seed=int(cfg["seed"]),
+                table_budget=int(cfg["table_budget"]),
             ),
             q_z,
         )
@@ -257,7 +261,9 @@ def _run_simulate(args) -> tuple[dict, int]:
         results = []
         for n in cfg["n_list"]:
             cb = sample_codebook(p_ux, int(n), rates, int(cfg["seed"]))
-            code = superposition_code(cb, model, float(cfg["eps"]))
+            code = superposition_code(
+                cb, model, float(cfg["eps"]), int(cfg["table_budget"])
+            )
             ij = induced_joint(code, model, mode="exact", budget=int(cfg["budget"]))
             sec = effective_secrecy(ij, q_z)
             results.append(

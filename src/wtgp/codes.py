@@ -62,6 +62,8 @@ from .pmf import Axis, FinitePmf, JointPmf
 DEFAULT_ENUM_BUDGET = 10**8
 DEFAULT_TABLE_BUDGET = 1 << 20
 MC_BLOCK = 4096
+# float32 holds every integer up to 2**24 exactly
+_F32_EXACT = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -269,43 +271,80 @@ class BlockCode:
 
 
 def _typical_mask(
-    cand_codes: np.ndarray,  # (C, n) per-letter codes in [0, base_c)
-    base_c: int,
+    cand_codes: np.ndarray,  # (C, n) per-letter candidate codes
     obs_digits: np.ndarray,  # (B, n) observation letters in [0, base_o)
     base_o: int,
-    ref_flat: np.ndarray,  # (base_c * base_o,) reference joint
+    ref_flat: np.ndarray,  # (candidate codes * base_o,) reference joint
     eps: float,
     n: int,
 ) -> np.ndarray:
-    """Boolean (B, C): is (candidate, observation) jointly letter-typical."""
-    nbins = base_c * base_o
-    codes = cand_codes[None, :, :] * base_o + obs_digits[:, None, :]  # (B, C, n)
-    b, c = codes.shape[0], codes.shape[1]
-    pair = (np.arange(b * c, dtype=np.int64)[:, None]) * nbins
-    flat = codes.reshape(b * c, n) + pair
-    counts = np.bincount(flat.ravel(), minlength=b * c * nbins).reshape(b, c, nbins)
-    nu = counts / float(n)
-    bad = np.abs(nu - ref_flat) > eps * ref_flat
-    return ~bad.any(axis=2)
+    """Boolean (B, C): is (candidate, observation) jointly letter-typical.
+
+    No letter-pair histogram is built.  The bin of position t, cand[t] *
+    base_o + obs[t], is hit by every position s whose candidate letter
+    and observation letter both equal those at t, so its count is one
+    dot product of two equality masks.  A pair is typical when every
+    position's (bin, count) passes the histogram test, tabulated once
+    per count, and every bin that fails it empty occurs somewhere.
+    """
+    nu = np.arange(n + 1) / float(n)
+    ok = ~(np.abs(nu - ref_flat[:, None]) > eps * ref_flat[:, None])  # (bins, n + 1)
+    required = np.flatnonzero(~ok[:, 0])
+    b, c = obs_digits.shape[0], cand_codes.shape[0]
+    if required.size > n:  # n letters fill at most n bins
+        return np.zeros((b, c), dtype=bool)
+    # position t's product is bin * (n + 1) + count, the flat index into
+    # ok: the equality masks give the count and two extra columns add the
+    # observation and the candidate part of the bin; every partial sum is
+    # an integer no larger than ok.size, exact in the float type chosen
+    exact = np.float32 if ok.size <= _F32_EXACT else np.float64
+    lhs = np.concatenate(
+        [
+            obs_digits[:, :, None] == obs_digits[:, None, :],
+            obs_digits[:, :, None] * (n + 1),
+            np.ones((b, n, 1), dtype=exact),
+        ],
+        axis=2,
+        dtype=exact,
+    )
+    rhs = np.concatenate(
+        [
+            cand_codes[:, :, None] == cand_codes[:, None, :],
+            np.ones((c, n, 1), dtype=exact),
+            cand_codes[:, :, None] * (base_o * (n + 1)),
+        ],
+        axis=2,
+        dtype=exact,
+    )
+    ok_flat = ok.ravel()
+    mask = np.ones((b, c), dtype=bool)
+    for t in range(n):
+        mask &= ok_flat.take((lhs[:, t] @ rhs[:, t].T).astype(np.intp))
+    for a in required:
+        ca, oa = divmod(int(a), base_o)
+        mask &= (obs_digits == oa).astype(exact) @ (cand_codes == ca).astype(exact).T > 0
+    return mask
 
 
 def _decode_all(
     cand_codes: np.ndarray,
-    base_c: int,
     cand_message: np.ndarray,  # (C,) message index of each candidate
-    obs_digits: np.ndarray,
     base_o: int,
     ref_flat: np.ndarray,
     eps: float,
     n: int,
 ) -> np.ndarray:
-    """Unique-tuple typicality decoding; failures decode to message 0."""
-    out = np.empty(obs_digits.shape[0], dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(1, cand_codes.shape[0] * base_c * base_o))
-    for i in range(0, obs_digits.shape[0], chunk):
-        mask = _typical_mask(
-            cand_codes, base_c, obs_digits[i : i + chunk], base_o, ref_flat, eps, n
-        )
+    """Unique-tuple typicality decoding of every observation sequence.
+
+    Failures decode to message 0.  Observations are taken in flat-index
+    order, a chunk at a time, with (chunk, C) temporaries.
+    """
+    total = base_o**n
+    out = np.empty(total, dtype=np.int64)
+    chunk = max(1, (1 << 18) // cand_codes.shape[0])
+    for i in range(0, total, chunk):
+        obs = _seq_digits(np.arange(i, min(i + chunk, total)), base_o, n)
+        mask = _typical_mask(cand_codes, obs, base_o, ref_flat, eps, n)
         hits = mask.sum(axis=1)
         pick = mask.argmax(axis=1)
         out[i : i + chunk] = np.where(hits == 1, cand_message[pick], 0)
@@ -368,10 +407,8 @@ def superposition_code(
 
     cand1, lab1 = _receiver1_candidates(cb)
     cand2, lab2 = _receiver2_candidates(cb)
-    all1 = _seq_digits(np.arange(obs1**n), obs1, n)
-    all2 = _seq_digits(np.arange(y2s**n), y2s, n)
-    dec1 = _decode_all(cand1, us * xs, lab1, all1, obs1, ref1.reshape(-1), eps, n)
-    dec2 = _decode_all(cand2, us, lab2, all2, y2s, ref2.reshape(-1), eps, n)
+    dec1 = _decode_all(cand1, lab1, obs1, ref1.reshape(-1), eps, n)
+    dec2 = _decode_all(cand2, lab2, y2s, ref2.reshape(-1), eps, n)
     ref1.setflags(write=False)
     ref2.setflags(write=False)
     return BlockCode(
@@ -590,7 +627,7 @@ def _exact_joint(code: BlockCode, model: WiretapModel | GpModel, budget: int) ->
         cb = code.codebook
         terms = cb.m1_size * cb.m2_size * cb.w1_size * cb.w2_size * y1f * y2f * zf
     else:
-        terms = m1s * m2s * int((code.encoder_table > 0).sum()) * y1f * y2f * zf
+        terms = int((code.encoder_table > 0).sum()) * y1f * y2f * zf
     cells = m1s * m2s * xf * y1f * y2f * zf
     cells *= m1s * m2s
     if terms > budget or cells > budget:

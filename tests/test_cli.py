@@ -232,6 +232,19 @@ class TestSimulate:
             assert status == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("mode", [["--exact"], ["--mc", "2000"]])
+    def test_table_budget_from_params(self, capsys, tmp_path, product_channel, mode):
+        # at n = 2 each receiver's decode table has 2**2 = 4 entries
+        for budget, status in ((3, 3), (4, 0)):
+            params = self.sim_params(tmp_path, table_budget=budget)
+            got, _, err = run(
+                capsys, "simulate", "--channel", product_channel, "--params", params,
+                *mode,
+            )
+            assert got == status
+            if status:
+                assert json.loads(err)["error"]["code"] == "resource"
+
     def test_missing_design_is_rejected(self, capsys, tmp_path, product_channel):
         params = write_json(tmp_path / "bad.json", {"n_list": [1]})
         status, _, err = run(

@@ -179,10 +179,40 @@ class TestEncoder:
             wiretap_code_from_tables(model, 2, bad, np.zeros(4), np.zeros(1))
 
 
+def trend_code(n, seed, eps):
+    """Criterion 09's informed ternary fixture: Y1 = Y2 = X, binary Z."""
+    pz = np.array([[0.75, 0.25], [0.5, 0.5], [0.25, 0.75]])
+    law = np.zeros((3, 3, 3, 2))
+    for x in range(3):
+        law[x, x, x, :] = pz[x]
+    p_ux = JointPmf(
+        [Axis("u", 2), Axis("x", 3)],
+        np.array([[0.3, 0.2, 0.0], [0.0, 0.2, 0.3]]),
+    )
+    rates = CodeRates(r1=0.125, r2=0.125, rt1=0.375, rt2=0.375)
+    cb = sample_codebook(p_ux, n, rates, seed)
+    return superposition_code(cb, WiretapModel(law=law, informed_receiver=True), eps)
+
+
 class TestDecoder:
-    @pytest.mark.parametrize("informed", [False, True])
-    def test_tables_match_scalar_decoder(self, informed):
-        code, _ = make_code(model=product_model(informed_receiver=informed))
+    # the trend fixture decodes 160 of its 1296 receiver-1 observations to
+    # a nonzero message, so a table of zeros cannot pass for it
+    @pytest.mark.parametrize(
+        "make, nonzero",
+        [
+            (lambda: make_code(model=product_model())[0], False),
+            (lambda: make_code(model=product_model(informed_receiver=True))[0], False),
+            (lambda: make_code(model=product_model(), eps=1.0)[0], False),
+            (lambda: make_code(model=product_model(informed_receiver=True), eps=2.5)[0], False),
+            (lambda: trend_code(4, 1, 0.9), False),
+            (lambda: trend_code(4, 1, 32.0), True),
+        ],
+        ids=["eps0.3", "informed-eps0.3", "eps1", "informed-eps2.5", "trend-eps0.9", "trend-eps32"],
+    )
+    def test_tables_match_scalar_decoder(self, make, nonzero):
+        code = make()
+        if nonzero:
+            assert (code.dec1 != 0).sum() > 0
         n = code.n
         for flat in range(code.obs1_size**n):
             seq = [(flat // code.obs1_size ** (n - 1 - t)) % code.obs1_size
@@ -256,6 +286,22 @@ class TestInducedJointExact:
         code, model = make_code()
         with pytest.raises(ResourceError):
             induced_joint(code, model, budget=3)
+
+    def test_table_encoder_term_count(self):
+        # a deterministic 4-message table code at n = 2 multiplies its 4
+        # nonzero encoder entries by |Y1|^2 |Y2|^2 |Z|^2 = 16 kernel
+        # outputs: 64 weighted terms.  Its joint has 1024 cells, and that
+        # is where the budget binds.
+        model = pp_model()
+        enc = np.zeros((4, 1, 4))
+        enc[np.arange(4), 0, np.arange(4)] = 1.0
+        code = wiretap_code_from_tables(
+            model, 2, enc, np.arange(4), np.zeros(1, dtype=np.int64)
+        )
+        with pytest.raises(ResourceError, match="needs 64 weighted terms and 1024 cells"):
+            induced_joint(code, model, budget=1023)
+        ij = induced_joint(code, model, budget=1024)
+        assert abs(float(ij.joint.mass.sum()) - 1.0) <= 1e-12
 
 
 FULL_VIEW = ("m1", "m2", "mh1", "mh2", "z")
