@@ -194,34 +194,41 @@ def trend_code(n, seed, eps):
     return superposition_code(cb, WiretapModel(law=law, informed_receiver=True), eps)
 
 
+def assert_tables_match_scalar_decoder(code):
+    n = code.n
+    for flat in range(code.obs1_size**n):
+        seq = [(flat // code.obs1_size ** (n - 1 - t)) % code.obs1_size
+               for t in range(n)]
+        assert code.dec1[flat] == typicality_decode(code, seq, 1)
+    for flat in range(code.y2_size**n):
+        seq = [(flat // code.y2_size ** (n - 1 - t)) % code.y2_size
+               for t in range(n)]
+        assert code.dec2[flat] == typicality_decode(code, seq, 2)
+
+
 class TestDecoder:
+    @pytest.mark.parametrize("informed", [False, True])
+    def test_tables_match_scalar_decoder(self, informed):
+        code, _ = make_code(model=product_model(informed_receiver=informed))
+        assert_tables_match_scalar_decoder(code)
+
     # the trend fixture decodes 160 of its 1296 receiver-1 observations to
     # a nonzero message, so a table of zeros cannot pass for it
     @pytest.mark.parametrize(
         "make, nonzero",
         [
-            (lambda: make_code(model=product_model())[0], False),
-            (lambda: make_code(model=product_model(informed_receiver=True))[0], False),
             (lambda: make_code(model=product_model(), eps=1.0)[0], False),
             (lambda: make_code(model=product_model(informed_receiver=True), eps=2.5)[0], False),
             (lambda: trend_code(4, 1, 0.9), False),
             (lambda: trend_code(4, 1, 32.0), True),
         ],
-        ids=["eps0.3", "informed-eps0.3", "eps1", "informed-eps2.5", "trend-eps0.9", "trend-eps32"],
+        ids=["eps1", "informed-eps2.5", "trend-eps0.9", "trend-eps32"],
     )
-    def test_tables_match_scalar_decoder(self, make, nonzero):
+    def test_tables_match_scalar_decoder_wide_eps(self, make, nonzero):
         code = make()
         if nonzero:
             assert (code.dec1 != 0).sum() > 0
-        n = code.n
-        for flat in range(code.obs1_size**n):
-            seq = [(flat // code.obs1_size ** (n - 1 - t)) % code.obs1_size
-                   for t in range(n)]
-            assert code.dec1[flat] == typicality_decode(code, seq, 1)
-        for flat in range(code.y2_size**n):
-            seq = [(flat // code.y2_size ** (n - 1 - t)) % code.y2_size
-                   for t in range(n)]
-            assert code.dec2[flat] == typicality_decode(code, seq, 2)
+        assert_tables_match_scalar_decoder(code)
 
     def test_decoder_validation(self):
         code, _ = make_code()
