@@ -12,19 +12,21 @@ enters the exact error probabilities.  When the model is
 informed-receiver, receiver 1's observation letters are (y1, z) pairs
 encoded as y1 * |Z| + z.
 
-``induced_joint`` materializes the full joint of one code run,
-P(m1, m2, x^n, y1^n, y2^n, z^n, mh1, mh2), either by exact enumeration
-(weighted-term budget checked) or by Monte Carlo over a counter-based
-Philox stream keyed by (seed, trial block), which makes trial blocks
-order-independent.  Exact enumeration is one product for both sides:
-weight(m1, m2, x^n, z^n) x kernel(x^n -> y1^n, y2^n, z^n), placed at the
-decoder outputs (mh1, mh2) that (y1^n, y2^n, z^n) fix.  A wiretap code's
-weight is unif x its encoder kernel and its kernel the n-letter power of
-the channel law; a GP code's weight is (unif x q_Z^n) x its encoder table
-and its kernel the power of the state-dependent law.  From (m, z^n) on,
-a wiretap code and the GP code it induces share that kernel.  Exact
-joints support three identities used as test anchors and CLI
-diagnostics, and a gap beyond rounding raises ``NumericalError``:
+``induced_joint`` materializes the joint of one code run, either by
+exact enumeration or by Monte Carlo over a counter-based Philox stream
+keyed by (seed, trial block), which makes trial blocks order-independent.
+Exact enumeration is one product for both sides over (m1, m2, x^n, y1^n,
+y2^n, z^n): weight(m1, m2, x^n, z^n) x kernel(x^n -> y1^n, y2^n, z^n).
+A wiretap code's weight is unif x its encoder kernel and its kernel the
+n-letter power of the channel law; a GP code's weight is (unif x q_Z^n) x
+its encoder table and its kernel the power of the state-dependent law.
+From (m, z^n) on, a wiretap code and the GP code it induces share that
+kernel and the decoders.  The estimates (mh1, mh2) are functions of
+(y1^n, z^n) and y2^n, so an exact run carries the decode maps instead of
+estimate axes; Monte Carlo counts the (m1, m2, mh1, mh2, z^n) view.  One
+``budget`` caps the cells either mode allocates.  Exact joints support
+three identities used as test anchors and CLI diagnostics, and a gap
+beyond rounding raises ``NumericalError``:
 
 * error probability equals the total variation between the (M, Mh)
   marginal and uniform-messages-correctly-decoded;
@@ -264,10 +266,6 @@ class BlockCode:
     @property
     def obs1_size(self) -> int:
         return self.y1_size * self.z_size if self.informed else self.y1_size
-
-    @property
-    def message_rate(self) -> float:
-        return math.log2(self.m1_size * self.m2_size) / self.n
 
 
 def _typical_mask(
@@ -559,9 +557,11 @@ def typicality_decode(
 class InducedJoint:
     """Distribution induced by one code run, with provenance.
 
-    Exact mode keeps all axes (m1, m2, x1.., y1_1.., y2_1.., z1..,
-    mh1, mh2); Monte Carlo keeps the secrecy view (m1, m2, mh1, mh2,
-    z1..).  The message marginal is exactly uniform in exact mode only.
+    Exact mode stores (m1, m2, x1.., y1_1.., y2_1.., z1..) and the decode
+    maps beside it: ``dec1`` gives mh1 per (flat y1^n, flat z^n) and
+    ``dec2`` mh2 per flat y2^n.  Monte Carlo stores the (m1, m2, mh1, mh2,
+    z1..) view and no maps.  The message marginal is exactly uniform in
+    exact mode only.
     """
 
     joint: JointPmf
@@ -570,18 +570,17 @@ class InducedJoint:
     mode: str
     trials: int | None
     provenance: dict
+    dec1: np.ndarray | None = None
+    dec2: np.ndarray | None = None
 
     @property
     def z_axes(self) -> tuple[str, ...]:
         return tuple(f"z{i + 1}" for i in range(self.n))
 
-    @property
-    def message_axes(self) -> tuple[str, ...]:
-        return ("m1", "m2")
 
-    @property
-    def estimate_axes(self) -> tuple[str, ...]:
-        return ("mh1", "mh2")
+def _check_cells(what: str, cells: int, budget: int) -> None:
+    if cells > budget:
+        raise ResourceError(f"{what} needs {cells} cells, budget is {budget}")
 
 
 def _full_axes(code: BlockCode) -> list[Axis]:
@@ -591,7 +590,6 @@ def _full_axes(code: BlockCode) -> list[Axis]:
     axes += [Axis(f"y1_{i + 1}", code.y1_size) for i in range(n)]
     axes += [Axis(f"y2_{i + 1}", code.y2_size) for i in range(n)]
     axes += [Axis(f"z{i + 1}", code.z_size) for i in range(n)]
-    axes += [Axis("mh1", code.m1_size), Axis("mh2", code.m2_size)]
     return axes
 
 
@@ -613,28 +611,14 @@ def _exact_joint(code: BlockCode, model: WiretapModel | GpModel, budget: int) ->
     The wiretap weight is unif x the encoder kernel, the same for every
     z^n, and the kernel is the n-letter power of the channel law.  The GP
     weight is (unif x q_Z^n) x the encoder table, and the kernel is the
-    power of the state-dependent law with z moved last.  (y1^n, y2^n, z^n)
-    fix the decoder outputs, so each product lands in one (mh1, mh2) cell;
-    only nonzero branches are written, which leaves the pages of the
-    other branches untouched.
+    power of the state-dependent law with z moved last.  Only nonzero
+    branches are written, which leaves the pages of the other branches
+    untouched.
     """
     n = code.n
     m1s, m2s = code.m1_size, code.m2_size
     xf, y1f, y2f, zf = (s**n for s in (code.x_size, code.y1_size, code.y2_size, code.z_size))
-    if code.side == "gp":
-        terms = int((code.encoder_table > 0).sum()) * y1f * y2f
-    elif code.codebook is not None:
-        cb = code.codebook
-        terms = cb.m1_size * cb.m2_size * cb.w1_size * cb.w2_size * y1f * y2f * zf
-    else:
-        terms = int((code.encoder_table > 0).sum()) * y1f * y2f * zf
-    cells = m1s * m2s * xf * y1f * y2f * zf
-    cells *= m1s * m2s
-    if terms > budget or cells > budget:
-        raise ResourceError(
-            f"exact enumeration needs {terms} weighted terms and {cells} cells, "
-            f"budget is {budget}"
-        )
+    _check_cells("exact joint", m1s * m2s * xf * y1f * y2f * zf, budget)
     unif = 1.0 / (m1s * m2s)
     if code.side == "gp":
         base = unif * _seq_power(model.state_dist.mass, n)  # (zf,)
@@ -643,22 +627,40 @@ def _exact_joint(code: BlockCode, model: WiretapModel | GpModel, budget: int) ->
     else:
         weight = np.broadcast_to((unif * encoder_kernel(code))[..., None], (m1s, m2s, xf, zf))
         kernel = _seq_power(model.law, n)
-    b1, b2, bx, bz = (i[:, None, None] for i in np.nonzero(weight))
-    iy1 = np.arange(y1f)[:, None]
-    iy2 = np.arange(y2f)
-    mh1 = code.dec1[_obs1_index_table(code, n)]  # (y1f, zf)
-    out = np.zeros((m1s, m2s, xf, y1f, y2f, zf, m1s, m2s))
-    out[b1, b2, bx, iy1, iy2, bz, mh1[iy1, bz], code.dec2[iy2]] = (
-        weight[b1, b2, bx, bz] * kernel[bx, iy1, iy2, bz]
-    )
+    b1, b2, bx, bz = np.nonzero(weight)
+    out = np.zeros((m1s, m2s, xf, y1f, y2f, zf))
+    out[b1, b2, bx, :, :, bz] = weight[b1, b2, bx, bz][:, None, None] * kernel[bx, :, :, bz]
     return JointPmf(_full_axes(code), out)
 
 
-def _secrecy_axes(code: BlockCode) -> list[Axis]:
-    axes = [Axis("m1", code.m1_size), Axis("m2", code.m2_size)]
-    axes += [Axis("mh1", code.m1_size), Axis("mh2", code.m2_size)]
-    axes += [Axis(f"z{i + 1}", code.z_size) for i in range(code.n)]
-    return axes
+def _estimate_view(ij: InducedJoint, with_z: bool) -> JointPmf:
+    """The (m1, m2, mh1, mh2) marginal, with z^n last when ``with_z``.
+
+    These are the only views that read estimates.  A Monte Carlo joint
+    carries the estimate axes already.  An exact joint moves each cell of
+    a message block to the estimates its decode maps give, in one weighted
+    ``bincount`` per block over its cells in storage order, so each sum
+    adds its terms in the order a marginal of a joint with explicit
+    estimate axes would.
+    """
+    names = ["m1", "m2", "mh1", "mh2", *(ij.z_axes if with_z else ())]
+    if ij.dec1 is None:
+        return ij.joint.marginalize(names).reordered(names)
+    j = ij.joint
+    m1s, m2s = j.axis_size("m1"), j.axis_size("m2")
+    zf = ij.dec1.shape[1]
+    kept = zf if with_z else 1
+    # flat (mh1, mh2[, z^n]) cell per (y1^n, y2^n, z^n), repeated per x^n
+    est = (ij.dec1[:, None, :] * m2s + ij.dec2[:, None]) * kept + (np.arange(zf) if with_z else 0)
+    blocks = j.mass.reshape(m1s * m2s, -1)
+    flat = np.tile(est.reshape(-1), blocks.shape[1] // est.size)
+    view = np.stack([np.bincount(flat, weights=b, minlength=m1s * m2s * kept) for b in blocks])
+    return JointPmf(_secrecy_axes(m1s, m2s, j.axis_size("z1"), ij.n if with_z else 0), view)
+
+
+def _secrecy_axes(m1s: int, m2s: int, zs: int, n: int) -> list[Axis]:
+    axes = [Axis("m1", m1s), Axis("m2", m2s), Axis("mh1", m1s), Axis("mh2", m2s)]
+    return axes + [Axis(f"z{i + 1}", zs) for i in range(n)]
 
 
 def _trial_block_rng(seed: int, block: int) -> np.random.Generator:
@@ -788,9 +790,11 @@ def induced_joint(
 ) -> InducedJoint:
     """Joint distribution of one code run on ``model``.
 
-    Exact mode enumerates every branch and channel sequence (budget in
-    weighted terms); Monte Carlo estimates the (messages, estimates, z^n)
-    view from ``trials`` samples.
+    Exact mode enumerates every branch and channel sequence into the
+    (messages, x^n, y1^n, y2^n, z^n) joint and carries the decode maps
+    beside it; Monte Carlo estimates the (messages, estimates, z^n) view
+    from ``trials`` samples.  ``budget`` caps the cells of the joint or
+    the view, checked before anything is allocated.
     """
     if code.side == "wiretap" and not isinstance(model, WiretapModel):
         raise ShapeError("wiretap code needs a WiretapModel")
@@ -803,22 +807,25 @@ def induced_joint(
         or code.z_size != model.z_size
     ):
         raise ShapeError("code and model alphabets do not match")
+    n = code.n
     if mode == "exact":
         return InducedJoint(
             joint=_exact_joint(code, model, budget),
             side=code.side,
-            n=code.n,
+            n=n,
             mode="exact",
             trials=None,
             provenance={"budget": budget, "code_seed": code.meta.get("seed")},
+            dec1=code.dec1[_obs1_index_table(code, n)],
+            dec2=code.dec2,
         )
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
     if not trials or trials < 1:
         raise ValueError("mc mode needs a positive trial count")
+    axes = _secrecy_axes(code.m1_size, code.m2_size, code.z_size, n)
+    _check_cells("Monte Carlo view", math.prod(ax.size for ax in axes), budget)
     (counts,) = _mc_counts(code, model, 0, int(trials), seed, [("m1", "m2", "mh1", "mh2", "z")])
-    n = code.n
-    axes = _secrecy_axes(code)
     mass = (counts / float(trials)).reshape([ax.size for ax in axes])
     return InducedJoint(
         joint=JointPmf(axes, mass),
@@ -842,33 +849,24 @@ def induced_joint(
 def _message_target(ij: InducedJoint, q_z: FinitePmf | None) -> JointPmf:
     """unif(m1, m2) x 1{mh = m} x q_z^n over the secrecy axes."""
     j = ij.joint
-    m1s = j.axis_size("m1")
-    m2s = j.axis_size("m2")
-    n = ij.n
-    zs = j.axis_size("z1")
+    m1s, m2s = j.axis_size("m1"), j.axis_size("m2")
     if q_z is None:
-        qzn = np.ones(1)
-        axes = [Axis("m1", m1s), Axis("m2", m2s), Axis("mh1", m1s), Axis("mh2", m2s)]
-        shape = (m1s, m2s, m1s, m2s)
+        qzn, axes = np.ones(1), _secrecy_axes(m1s, m2s, 1, 0)
     else:
-        if q_z.alphabet_size != zs:
+        if q_z.alphabet_size != j.axis_size("z1"):
             raise ShapeError("q_z alphabet does not match the induced joint")
-        qzn = _seq_power(q_z.mass, n)
-        axes = [Axis("m1", m1s), Axis("m2", m2s), Axis("mh1", m1s), Axis("mh2", m2s)]
-        axes += [Axis(f"z{i + 1}", zs) for i in range(n)]
-        shape = (m1s, m2s, m1s, m2s) + (zs,) * n
+        qzn, axes = _seq_power(q_z.mass, ij.n), _secrecy_axes(m1s, m2s, q_z.alphabet_size, ij.n)
     mass = np.zeros((m1s, m2s, m1s, m2s, qzn.size))
     unif = 1.0 / (m1s * m2s)
     for a in range(m1s):
         for b in range(m2s):
             mass[a, b, a, b] = unif * qzn
-    return JointPmf(axes, mass.reshape(shape))
+    return JointPmf(axes, mass)
 
 
 def _error_terms(ij: InducedJoint) -> tuple[float, JointPmf]:
     """Unclipped P_e and the (m1, m2, mh1, mh2) marginal it is read from."""
-    names = ["m1", "m2", "mh1", "mh2"]
-    marg = ij.joint.marginalize(names).reordered(names)
+    marg = _estimate_view(ij, with_z=False)
     return 1.0 - float(np.einsum("abab->", marg.mass)), marg
 
 
@@ -893,9 +891,7 @@ def error_probability(ij: InducedJoint) -> float:
 
 def tv_to_target(ij: InducedJoint, q_z: FinitePmf) -> float:
     """TV between the (messages, estimates, z^n) view and its ideal."""
-    names = ["m1", "m2", "mh1", "mh2", *ij.z_axes]
-    marg = ij.joint.marginalize(names).reordered(names)
-    return total_variation(marg, _message_target(ij, q_z))
+    return total_variation(_estimate_view(ij, with_z=True), _message_target(ij, q_z))
 
 
 def message_state_tv(ij: InducedJoint, q_z: FinitePmf) -> float:
@@ -1037,8 +1033,11 @@ def gp_collapse_residual(
 
     The wiretap run and the induced GP run share the conditional kernel
     from (messages, z^n) onward, so the total variation between their
-    full joints equals || P_{M, Z^n} - unif x q_z^n || exactly.  The
-    wiretap code is enumerated once, for both the encoder and the TV.
+    full joints equals || P_{M, Z^n} - unif x q_z^n || exactly.  The full
+    TV is taken over (messages, x^n, y1^n, y2^n, z^n): both codes use the
+    same decoders, so adding the estimates would split every cell of both
+    joints alike and leave the TV unchanged.  The wiretap code is
+    enumerated once, for both the encoder and the TV.
     """
     if wt_code.side != "wiretap":
         raise ValueError("gp_collapse_residual starts from a wiretap code")
@@ -1181,7 +1180,7 @@ def simulate_trend(
         if per < 1:
             raise ValueError("trials must be >= batches")
         trials = per * params.batches
-        axes = _secrecy_axes(code)
+        axes = _secrecy_axes(code.m1_size, code.m2_size, code.z_size, int(n))
         sec_shape = [axes[0].size, axes[1].size] + [code.z_size] * int(n)
 
         def _ij(mass_axes, counts: np.ndarray, shape, m: int) -> InducedJoint:

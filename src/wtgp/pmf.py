@@ -277,14 +277,6 @@ class StochasticKernel:
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("StochasticKernel is immutable")
 
-    @property
-    def input_shape(self) -> tuple[int, ...]:
-        return tuple(ax.size for ax in self.input_axes)
-
-    @property
-    def output_shape(self) -> tuple[int, ...]:
-        return tuple(ax.size for ax in self.output_axes)
-
     def row(self, *cell: int) -> np.ndarray:
         if len(cell) != len(self.input_axes):
             raise ValueError(f"expected {len(self.input_axes)} input indices")

@@ -484,6 +484,12 @@ def _project_simplex_rows(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau[:, None], 0.0)
 
 
+# first step, halvings per pass and finite-difference half-width of _ascend
+_STEP0 = 1.0
+_LADDER = 30
+_FD_EPS = 1e-7
+
+
 @dataclasses.dataclass(frozen=True)
 class SearchParams:
     """Knobs of the multistart ascent (defaults per the search contract)."""
@@ -493,9 +499,6 @@ class SearchParams:
     directions: int = 64
     tol: float = 1e-9
     max_passes: int = 400
-    step0: float = 1.0
-    ladder: int = 30
-    fd_eps: float = 1e-7
     seed: int = 0
     u_size: int | None = None
 
@@ -516,7 +519,7 @@ def _ascend(
     n, total = theta.shape
     vals = f(theta)
     active = np.ones(n, dtype=bool)
-    steps = params.step0 * 0.5 ** np.arange(params.ladder)
+    steps = _STEP0 * 0.5 ** np.arange(_LADDER)
     passes = 0
     while active.any() and passes < params.max_passes:
         passes += 1
@@ -528,11 +531,11 @@ def _ascend(
             # central finite differences along the block coordinates
             pert = np.zeros((2 * dim, total))
             for jj in range(dim):
-                pert[2 * jj, sl.start + jj] = params.fd_eps
-                pert[2 * jj + 1, sl.start + jj] = -params.fd_eps
+                pert[2 * jj, sl.start + jj] = _FD_EPS
+                pert[2 * jj + 1, sl.start + jj] = -_FD_EPS
             cand = (base[:, None, :] + pert[None, :, :]).reshape(-1, total)
             fv = f(cand).reshape(len(idx), 2 * dim)
-            grad = (fv[:, 0::2] - fv[:, 1::2]) / (2.0 * params.fd_eps)
+            grad = (fv[:, 0::2] - fv[:, 1::2]) / (2.0 * _FD_EPS)
             # step-halving ladder, evaluated in one batch
             moved = base[:, None, sl] + steps[None, :, None] * grad[:, None, :]
             proj = _project_simplex_rows(moved.reshape(-1, dim)).reshape(

@@ -313,6 +313,15 @@ class TestErrorReporting:
         assert status == 5
         assert "restart" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("key", ["step0", "ladder", "fd_eps"])
+    def test_search_step_constants_are_not_params(self, capsys, pp_channel, tmp_path, key):
+        params = write_json(tmp_path / "p.json", {key: 1})
+        status, _, err = run(
+            capsys, "capacity", "--channel", pp_channel, "--params", params
+        )
+        assert status == 5
+        assert key in json.loads(err)["error"]["message"]
+
     def test_numerical_status(self, capsys, monkeypatch, product_channel):
         def broken(*args, **kwargs):
             raise NumericalError("total variation residual 3e-09, tolerance 1e-12")

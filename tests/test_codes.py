@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,20 +295,20 @@ class TestInducedJointExact:
         with pytest.raises(ResourceError):
             induced_joint(code, model, budget=3)
 
-    def test_table_encoder_term_count(self):
-        # a deterministic 4-message table code at n = 2 multiplies its 4
-        # nonzero encoder entries by |Y1|^2 |Y2|^2 |Z|^2 = 16 kernel
-        # outputs: 64 weighted terms.  Its joint has 1024 cells, and that
-        # is where the budget binds.
+    def test_cell_budget_boundary(self):
+        # a deterministic 4-message table code at n = 2 on a 2 x 2 x 1 x 2
+        # law: its joint over (m1, m2, x^2, y1^2, y2^2, z^2) has
+        # 4 * 1 * 4 * 4 * 1 * 4 = 256 cells, and the budget counts exactly those
         model = pp_model()
         enc = np.zeros((4, 1, 4))
         enc[np.arange(4), 0, np.arange(4)] = 1.0
         code = wiretap_code_from_tables(
             model, 2, enc, np.arange(4), np.zeros(1, dtype=np.int64)
         )
-        with pytest.raises(ResourceError, match="needs 64 weighted terms and 1024 cells"):
-            induced_joint(code, model, budget=1023)
-        ij = induced_joint(code, model, budget=1024)
+        with pytest.raises(ResourceError, match="exact joint needs 256 cells, budget is 255"):
+            induced_joint(code, model, budget=255)
+        ij = induced_joint(code, model, budget=256)
+        assert ij.joint.mass.size == 256
         assert abs(float(ij.joint.mass.sum()) - 1.0) <= 1e-12
 
 
@@ -318,8 +319,9 @@ def brute_force_joint(code, model):
     """Exact induced joint by explicit loops over every code run.
 
     Loops over messages, local randomness (or encoder rows), x^n, y1^n,
-    y2^n and z^n, and multiplies per-letter law entries; the axis order
-    is that of ``induced_joint``.
+    y2^n and z^n, and multiplies per-letter law entries.  The axes are
+    those of the exact ``induced_joint`` followed by the decoder outputs
+    (mh1, mh2), placed by looking up the decode tables cell by cell.
     """
     n = code.n
     m1s, m2s = code.m1_size, code.m2_size
@@ -386,8 +388,21 @@ class TestExactReference:
     """induced_joint(mode="exact") against the brute-force loops, cell by cell."""
 
     def check(self, code, model):
-        got = induced_joint(code, model).joint.mass
-        np.testing.assert_allclose(got, brute_force_joint(code, model), rtol=0, atol=1e-15)
+        ij = induced_joint(code, model)
+        ref = brute_force_joint(code, model)
+        np.testing.assert_allclose(ij.joint.mass, ref.sum(axis=(-2, -1)), rtol=0, atol=1e-15)
+        # the estimate view against the reference's own (mh1, mh2) axes
+        n = code.n
+        view = np.moveaxis(ref.sum(axis=tuple(range(2, 2 + 3 * n))), (-2, -1), (2, 3))
+        got = codes._estimate_view(ij, with_z=True)
+        assert got.axis_names == ("m1", "m2", "mh1", "mh2", *ij.z_axes)
+        np.testing.assert_allclose(got.mass, view, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            codes._estimate_view(ij, with_z=False).mass,
+            view.sum(axis=tuple(range(4, 4 + n))),
+            rtol=0,
+            atol=1e-15,
+        )
 
     @pytest.mark.parametrize("informed", [False, True])
     def test_codebook_wiretap_code(self, informed):
@@ -474,14 +489,42 @@ class TestMonteCarlo:
         from wtgp.divergence import total_variation
 
         code, model = make_code()
-        exact = induced_joint(code, model)
-        names = ["m1", "m2", "mh1", "mh2", *exact.z_axes]
-        ex = exact.joint.marginalize(names).reordered(names)
+        ex = codes._estimate_view(induced_joint(code, model), with_z=True)
         mc = induced_joint(code, model, mode="mc", trials=200_000, seed=5)
-        got = mc.joint.marginalize(names).reordered(names)
+        got = codes._estimate_view(mc, with_z=True)
         assert total_variation(ex, got) <= 0.01
         assert mc.mode == "mc" and mc.trials == 200_000
         assert mc.provenance["seed"] == 5
+
+    def test_view_budget_boundary(self):
+        # (m1, m2, mh1, mh2, z^2) = 2 * 2 * 2 * 2 * 4 = 64 count cells
+        code, model = make_code()
+        with pytest.raises(ResourceError, match="Monte Carlo view needs 64 cells, budget is 63"):
+            induced_joint(code, model, mode="mc", trials=10, budget=63)
+        assert induced_joint(code, model, mode="mc", trials=10, budget=64).joint.mass.size == 64
+
+    def test_view_budget_refuses_before_counting(self, monkeypatch):
+        # z_size 2 at n = 40 asks for 2 * 2 * 2**40 count cells; the check
+        # must refuse before the counter runs or any array is allocated
+        def no_counting(*args, **kwargs):
+            raise AssertionError("counted trials past the budget")
+
+        monkeypatch.setattr(codes, "_mc_counts", no_counting)
+        model = pp_model()
+        code = BlockCode(
+            side="wiretap", n=40, m1_size=2, m2_size=1, rates=CodeRates(r1=1 / 40),
+            informed=False, u_size=1, x_size=2, y1_size=2, y2_size=1, z_size=2,
+            eps=None, dec1=np.zeros(1, dtype=np.int64), dec2=np.zeros(1, dtype=np.int64),
+            encoder_table=np.full((2, 1, 1), 1.0),
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match=f"needs {4 << 40} cells, budget is 100000000"):
+                induced_joint(code, model, mode="mc", trials=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     def test_mc_metrics_work_on_sampled_joints(self):
         code, model = make_code()
