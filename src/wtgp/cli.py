@@ -254,6 +254,7 @@ def _run_simulate(args) -> tuple[dict, int]:
                 batches=int(cfg["batches"]),
                 seed=int(cfg["seed"]),
                 table_budget=int(cfg["table_budget"]),
+                budget=int(cfg["budget"]),
             ),
             q_z,
         )

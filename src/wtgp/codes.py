@@ -1154,6 +1154,7 @@ class SimParams:
     batches: int = 10
     seed: int = 0
     table_budget: int = DEFAULT_TABLE_BUDGET
+    budget: int = DEFAULT_ENUM_BUDGET
 
 
 def simulate_trend(
@@ -1168,7 +1169,8 @@ def simulate_trend(
     Per blocklength: sample one codebook, run ``trials`` trials split
     into ``batches`` contiguous trial ranges (the counter-based stream
     makes the split order-independent), and report each metric with the
-    standard error of the batch mean.
+    standard error of the batch mean.  ``params.budget`` caps the cells of
+    each counted view, checked before counting.
     """
     if q_z is None:
         q_z = default_state_dist(model)
@@ -1182,6 +1184,8 @@ def simulate_trend(
         trials = per * params.batches
         axes = _secrecy_axes(code.m1_size, code.m2_size, code.z_size, int(n))
         sec_shape = [axes[0].size, axes[1].size] + [code.z_size] * int(n)
+        for view in (axes[:4], axes[:2] + axes[4:]):
+            _check_cells("Monte Carlo view", math.prod(ax.size for ax in view), params.budget)
 
         def _ij(mass_axes, counts: np.ndarray, shape, m: int) -> InducedJoint:
             return InducedJoint(

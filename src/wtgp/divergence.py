@@ -55,9 +55,11 @@ def _pair_masses(p: Dist, q: Dist) -> tuple[np.ndarray, np.ndarray]:
 def total_variation(p: Dist, q: Dist) -> float:
     pm, qm = _pair_masses(p, q)
     diff = pm - qm
-    tv = 0.5 * float(np.abs(diff).sum())
-    # one-sided form max_A (p(A) - q(A)) must agree with the half-L1 form
-    residual = abs(tv - float(diff[diff > 0].sum()))
+    # one-sided form max_A (p(A) - q(A)) must agree with the half-L1 form;
+    # both reuse the difference buffer, taken last in place as |diff|
+    one_sided = float(diff.sum(where=diff > 0))
+    tv = 0.5 * float(np.abs(diff, out=diff).sum())
+    residual = abs(tv - one_sided)
     if not residual <= 1e-12:
         raise NumericalError(
             f"half-L1 and one-sided total variation differ by {residual!r}, "

@@ -31,10 +31,16 @@ and the batched value.
 Searches maximize over the auxiliary distribution with multistart
 projected block-coordinate ascent (Dirichlet(1, ..., 1) restarts,
 step-halving line search, convergence when a full pass improves by less
-than ``tol``).  ``brute_force_oracle`` enumerates a delta-grid over the
-same domain and is the independent reference the searches are tested
-against.  Negative bound values are clamped to zero for reporting; raw
-values are preserved on every ``RateBounds``.
+than ``tol``).  One driver runs every search: a capacity is one key, a
+frontier one key per direction, and all keys' restarts go through one
+ascent in which each row reads its own key's lambdas and stops on its
+own.  ``brute_force_oracle`` enumerates a delta-grid over the same
+domain and is the independent reference the searches are tested
+against; a wiretap point is the one-block (|Z| = 1) case of the GP
+product grid.  The ascent and the oracle score rows with one evaluator,
+in chunks of at most ``_CHUNK_CELLS`` joint cells.  Negative bound
+values are clamped to zero for reporting; raw values are preserved on
+every ``RateBounds``.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import json
 import math
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,7 +68,8 @@ FAMILIES: dict[str, tuple[str, str]] = {
 }
 
 DEFAULT_GRID_BUDGET = 50_000_000
-_GRID_CHUNK = 200_000
+# joint cells built per objective evaluation, in the searches and the oracle
+_CHUNK_CELLS = 1 << 22
 
 
 def family_side(family: str) -> str:
@@ -504,20 +511,24 @@ class SearchParams:
 
 
 def _ascend(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     blocks: Sequence[slice],
     starts: np.ndarray,
+    keys: np.ndarray,
     params: SearchParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximize ``f`` over a product of simplices from each start row.
 
-    Returns (values, thetas, converged mask, budget_exhausted).  ``f``
-    must accept a (B, total) array (rows need not be normalized: it
-    normalizes per block) and return (B,) objective values.
+    Returns (values, thetas, active mask): a row still active used up
+    ``max_passes`` while improving.  ``f(theta, keys)`` must accept a
+    (B, total) array (rows need not be normalized: it normalizes per
+    block) and the (B,) keys of its rows, and return (B,) objective
+    values.  Every row moves by its own values alone, with no shared
+    step or stopping rule.
     """
     theta = starts.astype(np.float64).copy()
     n, total = theta.shape
-    vals = f(theta)
+    vals = f(theta, keys)
     active = np.ones(n, dtype=bool)
     steps = _STEP0 * 0.5 ** np.arange(_LADDER)
     passes = 0
@@ -534,7 +545,7 @@ def _ascend(
                 pert[2 * jj, sl.start + jj] = _FD_EPS
                 pert[2 * jj + 1, sl.start + jj] = -_FD_EPS
             cand = (base[:, None, :] + pert[None, :, :]).reshape(-1, total)
-            fv = f(cand).reshape(len(idx), 2 * dim)
+            fv = f(cand, np.repeat(keys[idx], 2 * dim)).reshape(len(idx), 2 * dim)
             grad = (fv[:, 0::2] - fv[:, 1::2]) / (2.0 * _FD_EPS)
             # step-halving ladder, evaluated in one batch
             moved = base[:, None, sl] + steps[None, :, None] * grad[:, None, :]
@@ -545,7 +556,8 @@ def _ascend(
                 base[:, None, :], (len(idx), len(steps), total)
             ).copy()
             cand_full[:, :, sl] = proj
-            fv2 = f(cand_full.reshape(-1, total)).reshape(len(idx), len(steps))
+            fv2 = f(cand_full.reshape(-1, total), np.repeat(keys[idx], len(steps)))
+            fv2 = fv2.reshape(len(idx), len(steps))
             best = fv2.argmax(axis=1)
             bestv = fv2[np.arange(len(idx)), best]
             better = bestv > vals[idx] + 1e-15
@@ -554,37 +566,97 @@ def _ascend(
             gain[upd] += bestv[better] - vals[upd]
             vals[upd] = bestv[better]
         active = active & (gain > params.tol)
-    exhausted = bool(active.any())
     # exact projection so the achievers are valid pmfs
     for sl in blocks:
         theta[:, sl] = _project_simplex_rows(theta[:, sl])
-    vals = f(theta)
-    return vals, theta, ~active, exhausted
+    return f(theta, keys), theta, active
 
 
 def _dirichlet_starts(
-    rng: np.random.Generator, restarts: int, blocks: Sequence[slice], total: int
+    seed: int, key: int, restarts: int, blocks: Sequence[slice]
 ) -> np.ndarray:
-    out = np.empty((restarts, total))
+    """Dirichlet(1, ..., 1) starts per block from ``SeedSequence(seed, (key,))``."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+    out = np.empty((restarts, blocks[-1].stop))
     for sl in blocks:
         out[:, sl] = rng.dirichlet(np.ones(sl.stop - sl.start), size=restarts)
     return out
 
 
-def _search_setup(model: WiretapModel | GpModel, u_size: int):
-    """(blocks, total dim, batch joint builder) for a model's search domain.
+def _chunk_rows(model: WiretapModel | GpModel, u_size: int) -> int:
+    """Rows whose joints hold at most ``_CHUNK_CELLS`` cells together."""
+    return max(1, _CHUNK_CELLS // (u_size * model.law.size))
 
-    The variable is one p(u, x) block (wiretap) or one q(u, x | z) block
-    per state (GP); the builder normalizes each block before use.
+
+def _score(
+    model: WiretapModel | GpModel,
+    u_size: int,
+    objective: str,
+    theta: np.ndarray,
+    lam: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """(rows, K) values of ``objective`` on raw (not block-normalized) rows.
+
+    The one evaluator of the searches and the oracle, run in chunks of
+    ``_chunk_rows`` rows.  A capacity expression gives K = 1; a structural
+    kind gives support values at ``lam = (lam1, lam2)``, arrays that
+    broadcast against a column of rows: (K,) for K directions per row,
+    (rows, 1) for one direction per row.
+    """
+    step = _chunk_rows(model, u_size)
+    kind = objective in _KIND_ROWS
+    parts = [
+        _rates(objective, j, model.coop_capacity) if kind else _evaluate(j, (objective,))
+        for j in (
+            _joint_batch(model, theta[i : i + step], u_size)
+            for i in range(0, len(theta), step)
+        )
+    ]
+    vals = [None if v[0] is None else np.concatenate(v)[:, None] for v in zip(*parts)]
+    return _batch_support(*vals, *lam) if kind else vals[0]
+
+
+class _Winner(NamedTuple):
+    value: float
+    theta: np.ndarray
+    converged: bool
+    exhausted: bool  # some restart of the key used up max_passes
+
+
+def _search(
+    model: WiretapModel | GpModel,
+    u_size: int,
+    objective: str,
+    restarts: int,
+    params: SearchParams,
+    directions: Sequence[tuple[float, float]] | None = None,
+) -> list[_Winner]:
+    """Best of ``restarts`` ascents per key, all keys in one ``_ascend`` call.
+
+    Key k is direction k of ``directions``, or the one key 0 of a capacity
+    expression.  Its starts use spawn key (k,) and are stacked in key
+    order; each row's objective reads its own key's lambdas.  The variable
+    is one p(u, x) block (wiretap) or one q(u, x | z) block per state (GP).
     """
     row = u_size * model.x_size
-    rows = model.z_size if isinstance(model, GpModel) else 1
-    blocks = [slice(r * row, (r + 1) * row) for r in range(rows)]
+    n_blocks = model.z_size if isinstance(model, GpModel) else 1
+    blocks = [slice(r * row, (r + 1) * row) for r in range(n_blocks)]
+    lam = None if directions is None else np.asarray(directions, dtype=np.float64)
+    n_keys = 1 if lam is None else len(lam)
 
-    def build(theta: np.ndarray) -> np.ndarray:
-        return _joint_batch(model, _normalize_blocks(theta, blocks), u_size)
+    def f(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        per_row = None if lam is None else (lam[keys, :1], lam[keys, 1:])
+        return _score(model, u_size, objective, _normalize_blocks(theta, blocks), per_row)[:, 0]
 
-    return blocks, rows * row, build
+    starts = [_dirichlet_starts(params.seed, k, restarts, blocks) for k in range(n_keys)]
+    keys = np.repeat(np.arange(n_keys), restarts)
+    vals, thetas, active = _ascend(f, blocks, np.concatenate(starts), keys, params)
+    winners = []
+    for lo in range(0, len(vals), restarts):  # the rows of one key
+        best = lo + int(np.argmax(vals[lo : lo + restarts]))
+        exhausted = bool(active[lo : lo + restarts].any())
+        winners.append(_Winner(float(vals[best]), thetas[best], not active[best], exhausted))
+    return winners
 
 
 # ---------------------------------------------------------------------------
@@ -606,37 +678,27 @@ def _capacity_search(
 ) -> CapacityResult:
     informed = model.informed_receiver
     side = "wiretap" if isinstance(model, WiretapModel) else "gp"
-    with_u = not informed
-    u_size = (params.u_size or default_u_size(model)) if with_u else 1
-    blocks, total, build = _search_setup(model, u_size)
-    objective = _SECRECY if with_u else _INFORMED
-
-    def f(theta: np.ndarray) -> np.ndarray:
-        return _evaluate(build(theta), (objective,))[0]
-
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=params.seed, spawn_key=(0,)))
-    starts = _dirichlet_starts(rng, params.capacity_restarts, blocks, total)
-    vals, thetas, converged, exhausted = _ascend(f, blocks, starts, params)
-    best = int(np.argmax(vals))
-    raw = float(vals[best])
-    z_size = model.z_size if side == "gp" else 1
-    if with_u:
-        aux = aux_from_array(side, thetas[best], u_size, model.x_size, z_size=z_size)
+    u_size = 1 if informed else (params.u_size or default_u_size(model))
+    objective = _INFORMED if informed else _SECRECY
+    (win,) = _search(model, u_size, objective, params.capacity_restarts, params)
+    if informed:
+        aux = _input_aux(side, win.theta, model)
     else:
-        aux = _input_aux(side, thetas[best], model)
+        z_size = model.z_size if side == "gp" else 1
+        aux = aux_from_array(side, win.theta, u_size, model.x_size, z_size=z_size)
     return CapacityResult(
-        value=max(raw, 0.0),
-        raw_value=raw,
+        value=max(win.value, 0.0),
+        raw_value=win.value,
         achiever=aux,
-        converged=bool(converged[best]),
+        converged=win.converged,
         metadata={
             "side": side,
             "informed": informed,
-            "u_size": u_size if with_u else None,
+            "u_size": None if informed else u_size,
             "restarts": params.capacity_restarts,
             "tol": params.tol,
             "seed": params.seed,
-            "budget_exhausted": exhausted,
+            "budget_exhausted": win.exhausted,
         },
     )
 
@@ -770,8 +832,11 @@ def region_frontier(
     """Trace the family's frontier by maximizing the support function.
 
     Each direction runs ``params.restarts`` Dirichlet restarts of the
-    projected ascent; restarts are merged deterministically by
-    (direction index, restart index).  The reported value and vertex for
+    projected ascent, all directions in one ascent call stacked by
+    (direction index, restart index).  A restart reads its own direction's
+    lambdas and stops on its own, so a direction's sample depends only on
+    its place in ``directions``, not on the other directions swept with
+    it.  The reported value and vertex for
     each direction are recomputed through the normative scalar path from
     the winning auxiliary, so every support sample and boundary point is
     reproducible from its stored achiever.
@@ -787,38 +852,17 @@ def region_frontier(
     u_size = params.u_size or default_u_size(model)
     if directions is None:
         directions = sweep_directions(params.directions)
-    blocks, total, build = _search_setup(model, u_size)
-    coop = model.coop_capacity
-
-    samples: list[SupportSample] = []
-    unconverged = 0
+    # an empty sweep has no key to search
+    winners = (
+        _search(model, u_size, kind, params.restarts, params, directions) if directions else []
+    )
     z_size = model.z_size if side == "gp" else 1
-    for d_idx, (lam1, lam2) in enumerate(directions):
-
-        def f(theta: np.ndarray, lam1=lam1, lam2=lam2) -> np.ndarray:
-            return _batch_support(*_rates(kind, build(theta), coop), lam1, lam2)
-
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=params.seed, spawn_key=(d_idx,))
-        )
-        starts = _dirichlet_starts(rng, params.restarts, blocks, total)
-        vals, thetas, converged, exhausted = _ascend(f, blocks, starts, params)
-        unconverged += exhausted
-        best = int(np.argmax(vals))
-        aux = aux_from_array(side, thetas[best], u_size, model.x_size, z_size=z_size)
-        bounds = eval_rate_bounds(family, aux, model)
-        sp = support_maximum(bounds, lam1, lam2)
-        samples.append(
-            SupportSample(
-                lam1=lam1,
-                lam2=lam2,
-                value=sp.value,
-                r1=sp.r1,
-                r2=sp.r2,
-                achiever=aux,
-                converged=bool(converged[best]),
-            )
-        )
+    samples: list[SupportSample] = []
+    for (lam1, lam2), win in zip(directions, winners):
+        aux = aux_from_array(side, win.theta, u_size, model.x_size, z_size=z_size)
+        sp = support_maximum(eval_rate_bounds(family, aux, model), lam1, lam2)
+        samples.append(SupportSample(lam1, lam2, sp.value, sp.r1, sp.r2, aux, win.converged))
+    unconverged = sum(win.exhausted for win in winners)
     boundary = tuple(
         BoundaryPoint(r1=p[0], r2=p[1], sample_index=p[2])
         for p in _pareto([(s.r1, s.r2, i) for i, s in enumerate(samples)])
@@ -860,17 +904,18 @@ def _compositions(total: int, parts: int, cache: dict) -> np.ndarray:
     return out
 
 
-def _grid_points(cells: int, delta: float, budget: int) -> np.ndarray:
+def _grid(side: str, cells: int, blocks: int, delta: float, budget: int):
+    """Delta-grid over one simplex of ``cells`` cells, and the point count
+    of its ``blocks``-fold product, checked before anything is allocated."""
     steps = round(1.0 / delta)
     if abs(steps * delta - 1.0) > 1e-9:
         raise ValueError("grid delta must divide 1 evenly")
-    count = math.comb(steps + cells - 1, cells - 1)
-    if count > budget:
+    points = math.comb(steps + cells - 1, cells - 1) ** blocks
+    if points > budget:
         raise ResourceError(
-            f"grid oracle needs {count} points for delta={delta}, budget is {budget}"
+            f"{side} oracle needs {points} grid points for delta={delta}, budget is {budget}"
         )
-    comps = _compositions(steps, cells, {})
-    return comps.astype(np.float64) / steps
+    return _compositions(steps, cells, {}).astype(np.float64) / steps, points
 
 
 @dataclasses.dataclass(frozen=True)
@@ -906,99 +951,46 @@ def brute_force_oracle(
     With ``family`` None the capacity objective I(U;Y1)-I(U;Z) is
     maximized; otherwise the family's support values over ``directions``
     are maximized.  GP models enumerate the product grid over the |Z|
-    kernel rows, so budgets bind quickly there.
+    kernel rows, so budgets bind quickly there; a wiretap point is one
+    block.  ``budget`` caps the points, checked before allocating.
     """
     side = "wiretap" if isinstance(model, WiretapModel) else "gp"
     u = u_size or default_u_size(model)
-    cells = u * model.x_size
-    coop = model.coop_capacity
-    if family is not None:
+    if family is None:
+        objective, lam = _SECRECY, None
+    else:
         _check_family_model(family, model)
-        _, kind = _family(family)
+        objective = _family(family)[1]
         if directions is None:
             directions = sweep_directions(64)
-    else:
-        kind = None
-
-    if side == "wiretap":
-        grid = _grid_points(cells, delta, budget)
-        n_points = grid.shape[0]
-        chunks = (
-            grid[i : i + _GRID_CHUNK] for i in range(0, n_points, _GRID_CHUNK)
-        )
-        z_size = 1
-    else:
-        row_grid = _grid_points(cells, delta, budget)
-        n_rows = row_grid.shape[0]
-        n_points = n_rows**model.z_size
-        if n_points > budget:
-            raise ResourceError(
-                f"gp oracle needs {n_points} grid points, budget is {budget}"
-            )
-        z_size = model.z_size
-
-        def _gp_chunks():
-            flat = np.arange(n_points)
-            for i in range(0, n_points, _GRID_CHUNK):
-                part = flat[i : i + _GRID_CHUNK]
-                cols = []
-                rem = part
-                for _ in range(model.z_size):
-                    cols.append(rem % n_rows)
-                    rem = rem // n_rows
-                cols.reverse()
-                yield np.concatenate(
-                    [row_grid[c] for c in cols], axis=1
-                )
-
-        chunks = _gp_chunks()
-
+        lam = tuple(np.asarray(directions, dtype=np.float64).T)
+    # a wiretap point is one (u, x) block: the |Z| = 1 case of the GP grid
+    z_size = model.z_size if side == "gp" else 1
+    row_grid, n_points = _grid(side, u * model.x_size, z_size, delta, budget)
+    k = 1 if lam is None else len(directions)
+    best_vals = np.full(k, -math.inf)
+    best_thetas = np.zeros((k, z_size * row_grid.shape[1]))
+    step = _chunk_rows(model, u)
+    for start in range(0, n_points, step):
+        stop = min(start + step, n_points)
+        if z_size == 1:  # the product of one block is the row grid: slice, not copy
+            chunk = row_grid[start:stop]
+        else:  # point i concatenates the grid rows of its base-|grid| digits
+            digits = np.unravel_index(np.arange(start, stop), (len(row_grid),) * z_size)
+            chunk = np.concatenate([row_grid[d] for d in digits], axis=1)
+        vals = _score(model, u, objective, chunk, lam)
+        i = vals.argmax(axis=0)
+        better = vals[i, np.arange(k)] > best_vals
+        best_vals[better] = vals[i[better], np.flatnonzero(better)]
+        best_thetas[better] = chunk[i[better]]
+    achievers = [aux_from_array(side, t, u, model.x_size, z_size=z_size) for t in best_thetas]
     if family is None:
-        best_val = -math.inf
-        best_theta = None
-        for chunk in chunks:
-            vals = _evaluate(_joint_batch(model, chunk, u), (_SECRECY,))[0]
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                best_val = float(vals[i])
-                best_theta = chunk[i].copy()
-        aux = aux_from_array(side, best_theta, u, model.x_size, z_size=z_size)
-        return OracleResult(
-            kind="capacity",
-            value=max(best_val, 0.0),
-            achiever=aux,
-            supports=(),
-            grid_points=n_points,
-        )
-
-    n_dir = len(directions)
-    best_vals = np.full(n_dir, -math.inf)
-    best_thetas: list[np.ndarray | None] = [None] * n_dir
-    for chunk in chunks:
-        rates = _rates(kind, _joint_batch(model, chunk, u), coop)
-        for d, (lam1, lam2) in enumerate(directions):
-            vals = _batch_support(*rates, lam1, lam2)
-            i = int(np.argmax(vals))
-            if vals[i] > best_vals[d]:
-                best_vals[d] = float(vals[i])
-                best_thetas[d] = chunk[i].copy()
+        return OracleResult("capacity", max(float(best_vals[0]), 0.0), achievers[0], (), n_points)
     supports = []
-    for d, (lam1, lam2) in enumerate(directions):
-        aux = aux_from_array(side, best_thetas[d], u, model.x_size, z_size=z_size)
-        bounds = eval_rate_bounds(family, aux, model)
-        sp = support_maximum(bounds, lam1, lam2)
-        supports.append(
-            OracleSupport(
-                lam1=lam1, lam2=lam2, value=sp.value, r1=sp.r1, r2=sp.r2, achiever=aux
-            )
-        )
-    return OracleResult(
-        kind=family,
-        value=None,
-        achiever=None,
-        supports=tuple(supports),
-        grid_points=n_points,
-    )
+    for (lam1, lam2), aux in zip(directions, achievers):
+        sp = support_maximum(eval_rate_bounds(family, aux, model), lam1, lam2)
+        supports.append(OracleSupport(lam1, lam2, sp.value, sp.r1, sp.r2, aux))
+    return OracleResult(family, None, None, tuple(supports), n_points)
 
 
 def hausdorff_distance(

@@ -245,6 +245,21 @@ class TestSimulate:
             if status:
                 assert json.loads(err)["error"]["code"] == "resource"
 
+    def test_mc_views_within_budget(self, capsys, tmp_path, product_channel):
+        # at n = 2 both counted views, (m1, m2, mh1, mh2) and (m1, m2, z^2),
+        # have 2 * 2 * 4 = 16 cells
+        for budget, status in ((15, 3), (16, 0)):
+            params = self.sim_params(tmp_path, budget=budget)
+            got, _, err = run(
+                capsys, "simulate", "--channel", product_channel, "--params", params,
+                "--mc", "2000",
+            )
+            assert got == status
+            if status:
+                error = json.loads(err)["error"]
+                assert error["code"] == "resource"
+                assert error["message"] == "Monte Carlo view needs 16 cells, budget is 15"
+
     def test_missing_design_is_rejected(self, capsys, tmp_path, product_channel):
         params = write_json(tmp_path / "bad.json", {"n_list": [1]})
         status, _, err = run(

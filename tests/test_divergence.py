@@ -1,6 +1,7 @@
 """Divergences, information measures, and typicality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,23 @@ class TestTotalVariation:
             assert abs(
                 total_variation(jp, jq) - total_variation(p, q)
             ) <= 1e-12
+
+    def test_large_pmfs_need_no_second_buffer(self):
+        # beyond the one difference buffer only a boolean mask (an eighth
+        # of an input) may be allocated; |diff| and the one-sided sum
+        # reuse the buffer
+        rng = np.random.default_rng(5)
+        size = 1 << 21
+        p, q = (FinitePmf(rng.dirichlet(np.ones(size))) for _ in range(2))
+        half_l1 = 0.5 * float(np.abs(p.mass - q.mass).sum())
+        tracemalloc.start()
+        try:
+            tv = total_variation(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tv == half_l1
+        assert peak <= 1.25 * p.mass.nbytes
 
 
 class TestRelativeEntropy:

@@ -1,13 +1,14 @@
 """Rate-bound families, support maxima, capacities, and the frontier search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wtgp.channels import GpModel, WiretapModel, analogous_gpbc, informed_lift
 from wtgp.divergence import mutual_information
-from wtgp.errors import ClassificationError, ShapeError
+from wtgp.errors import ClassificationError, ResourceError, ShapeError
 from wtgp.pmf import Axis, FinitePmf, JointPmf
 from wtgp.regions import (
     FAMILIES,
@@ -312,9 +313,84 @@ class TestFrontier:
         assert run(5) == (4, 1)
         assert run(400) == (0, 0)
 
+    def test_directions_are_independent_in_one_ascent(self):
+        # all directions x restarts share one ascent.  Direction k draws its
+        # restarts from spawn key k, so a direction in the same place of
+        # another sweep must come out bitwise the same.  With 10 passes
+        # four directions run out and one converges, so a step size or a
+        # stopping rule shared across directions changes the samples or
+        # the count.
+        model = random_sd_model(np.random.default_rng(3))
+        params = quick_params(max_passes=10)
+        a, b, c, d, e = sweep_directions(5)
+
+        def sweep(dirs):
+            region = region_frontier("SD-WT", model, params, dirs)
+            samples = [
+                (s.value, s.r1, s.r2, s.achiever.dist.mass.tobytes(), s.converged)
+                for s in region.supports
+            ]
+            return samples, region.metadata["unconverged_directions"]
+
+        def exhausted(dirs):
+            # per-direction flags from the counts of the growing prefixes
+            counts = [0] + [sweep(dirs[:k])[1] for k in range(1, len(dirs) + 1)]
+            return np.diff(counts).tolist()
+
+        full, unconverged = sweep([a, b, c, d, e])
+        assert unconverged == 4
+        assert sweep([a, d])[0][0] == full[0]
+        mixed, _ = sweep([a, e, c, b])
+        assert (mixed[0], mixed[2]) == (full[0], full[2])
+        # unconverged_directions counts each direction at most once
+        assert exhausted([a, b, c, d, e]) == [1, 1, 1, 1, 0]
+        assert exhausted([a, e, c, b])[::2] == [1, 1]
+
     def test_capacity_oracle_degraded(self):
         oracle = brute_force_oracle(degraded_wiretap(), delta=0.1, u_size=3)
         assert abs(oracle.value - DEGRADED_01_02) <= 5e-3
+
+
+def one_state_sd_pair():
+    """A semi-deterministic wiretap model with |Z| = 1 and the GP model
+    with the same law and the one-point state law."""
+    rng = np.random.default_rng(41)
+    law = np.zeros((2, 2, 2, 1))
+    for x, f in enumerate(rng.integers(0, 2, size=2)):
+        law[x, f, :, 0] = rng.dirichlet(np.ones(2))
+    gp = GpModel(state_dist=FinitePmf([1.0]), law=law.transpose(0, 3, 1, 2))
+    return WiretapModel(law=law), gp
+
+
+class TestGridOracle:
+    def test_one_state_gp_grid_is_the_wiretap_grid(self):
+        wt, gp = one_state_sd_pair()
+        a = brute_force_oracle(wt, delta=0.1, u_size=3)
+        b = brute_force_oracle(gp, delta=0.1, u_size=3)
+        assert a.value == b.value
+        assert a.grid_points == b.grid_points
+        assert np.array_equal(a.achiever.dist.mass, b.achiever.dist.rows[0])
+
+    def test_one_state_gp_supports_equal_wiretap_supports(self):
+        wt, gp = one_state_sd_pair()
+        dirs = sweep_directions(9)
+        a = brute_force_oracle(wt, "SD-WT", delta=0.1, directions=dirs)
+        b = brute_force_oracle(gp, "SD-GP", delta=0.1, directions=dirs)
+        for s, t in zip(a.supports, b.supports, strict=True):
+            assert (s.value, s.r1, s.r2) == (t.value, t.r1, t.r2)
+            assert np.array_equal(s.achiever.dist.mass, t.achiever.dist.rows[0])
+
+    def test_gp_budget_checked_before_allocating(self):
+        # 53 130 grid rows per state, 53 130**2 product points
+        gp = analogous_gpbc(degraded_wiretap())
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="gp oracle needs 2822796900 grid points"):
+                brute_force_oracle(gp, delta=0.05, u_size=3, budget=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestHausdorff:
