@@ -530,12 +530,10 @@ def typicality_decode(
         cands, labels = _receiver1_candidates(cb)
         ref = FinitePmf(code.ref1.reshape(-1))
         base_o = code.obs1_size
-        base_c = code.u_size * code.x_size
     elif receiver == 2:
         cands, labels = _receiver2_candidates(cb)
         ref = FinitePmf(code.ref2.reshape(-1))
         base_o = code.y2_size
-        base_c = code.u_size
     else:
         raise ValueError("receiver must be 1 or 2")
     if y.max() >= base_o or y.min() < 0:

@@ -149,10 +149,6 @@ class JointPmf:
     def axis_size(self, name: str) -> int:
         return self.axes[self.axis_index(name)].size
 
-    def flat(self) -> np.ndarray:
-        """Row-major flat view of the mass."""
-        return self.mass.reshape(-1)
-
     def reordered(self, names: Sequence[str]) -> "JointPmf":
         names = tuple(names)
         if set(names) != set(self.axis_names) or len(names) != len(self.axes):
@@ -276,11 +272,6 @@ class StochasticKernel:
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("StochasticKernel is immutable")
-
-    def row(self, *cell: int) -> np.ndarray:
-        if len(cell) != len(self.input_axes):
-            raise ValueError(f"expected {len(self.input_axes)} input indices")
-        return self.rows[tuple(int(c) for c in cell)]
 
     def compose_with_input(self, marginal: "JointPmf") -> "JointPmf":
         """Joint ``marginal(input) * kernel(output | input)``.

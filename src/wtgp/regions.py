@@ -29,12 +29,16 @@ function likewise has one vertex definition shared by the scalar maximum
 and the batched value.
 
 Searches maximize over the auxiliary distribution with multistart
-projected block-coordinate ascent (Dirichlet(1, ..., 1) restarts,
-step-halving line search, convergence when a full pass improves by less
-than ``tol``).  One driver runs every search: a capacity is one key, a
-frontier one key per direction, and all keys' restarts go through one
-ascent in which each row reads its own key's lambdas and stops on its
-own.  ``brute_force_oracle`` enumerates a delta-grid over the same
+projected ascent (Dirichlet(1, ..., 1) restarts, step-halving line
+search, convergence when a pass improves by less than ``tol``).  The
+variable is one vector over a product of simplices: one p(u, x) block on
+the wiretap side, one q(u, x | z) block per state on the GP side, so a
+wiretap search is the one-block case of a GP search.  Each pass takes
+one step over the whole vector, projected block by block.  One driver
+runs every search: a capacity is one key, a frontier one key per
+direction, and all keys' restarts go through one ascent in which each
+row reads its own key's lambdas and stops on its own.
+``brute_force_oracle`` enumerates a delta-grid over the same
 domain and is the independent reference the searches are tested
 against; a wiretap point is the one-block (|Z| = 1) case of the GP
 product grid.  The ascent and the oracle score rows with one evaluator,
@@ -468,15 +472,14 @@ def _batch_support(r1, r2, rs, lam1: float, lam2: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# projected block-coordinate ascent
+# projected ascent over a product of simplices
 # ---------------------------------------------------------------------------
 
 
-def _normalize_blocks(theta: np.ndarray, blocks: Sequence[slice]) -> np.ndarray:
-    out = theta.copy()
-    for sl in blocks:
-        out[:, sl] /= out[:, sl].sum(axis=1, keepdims=True)
-    return out
+def _normalize_blocks(theta: np.ndarray, row: int) -> np.ndarray:
+    """Each ``row``-wide block of each row divided by its sum."""
+    blocks = theta.reshape(len(theta), -1, row)
+    return (blocks / blocks.sum(axis=2, keepdims=True)).reshape(theta.shape)
 
 
 def _project_simplex_rows(v: np.ndarray) -> np.ndarray:
@@ -512,13 +515,16 @@ class SearchParams:
 
 def _ascend(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    blocks: Sequence[slice],
+    row: int,
     starts: np.ndarray,
     keys: np.ndarray,
     params: SearchParams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximize ``f`` over a product of simplices from each start row.
+    """Maximize ``f`` over a product of ``row``-wide simplices from each start row.
 
+    Each pass takes one projected step over the whole vector: one
+    central-difference gradient over every coordinate, then one
+    step-halving ladder whose candidates are projected block by block.
     Returns (values, thetas, active mask): a row still active used up
     ``max_passes`` while improving.  ``f(theta, keys)`` must accept a
     (B, total) array (rows need not be normalized: it normalizes per
@@ -531,56 +537,41 @@ def _ascend(
     vals = f(theta, keys)
     active = np.ones(n, dtype=bool)
     steps = _STEP0 * 0.5 ** np.arange(_LADDER)
+    # central finite differences: coordinate j moves by +eps in row 2j, -eps in row 2j+1
+    pert = np.zeros((2 * total, total))
+    pert[0::2] = np.diag(np.full(total, _FD_EPS))
+    pert[1::2] = np.diag(np.full(total, -_FD_EPS))
     passes = 0
     while active.any() and passes < params.max_passes:
         passes += 1
-        gain = np.zeros(n)
         idx = np.flatnonzero(active)
-        for sl in blocks:
-            dim = sl.stop - sl.start
-            base = theta[idx]
-            # central finite differences along the block coordinates
-            pert = np.zeros((2 * dim, total))
-            for jj in range(dim):
-                pert[2 * jj, sl.start + jj] = _FD_EPS
-                pert[2 * jj + 1, sl.start + jj] = -_FD_EPS
-            cand = (base[:, None, :] + pert[None, :, :]).reshape(-1, total)
-            fv = f(cand, np.repeat(keys[idx], 2 * dim)).reshape(len(idx), 2 * dim)
-            grad = (fv[:, 0::2] - fv[:, 1::2]) / (2.0 * _FD_EPS)
-            # step-halving ladder, evaluated in one batch
-            moved = base[:, None, sl] + steps[None, :, None] * grad[:, None, :]
-            proj = _project_simplex_rows(moved.reshape(-1, dim)).reshape(
-                len(idx), len(steps), dim
-            )
-            cand_full = np.broadcast_to(
-                base[:, None, :], (len(idx), len(steps), total)
-            ).copy()
-            cand_full[:, :, sl] = proj
-            fv2 = f(cand_full.reshape(-1, total), np.repeat(keys[idx], len(steps)))
-            fv2 = fv2.reshape(len(idx), len(steps))
-            best = fv2.argmax(axis=1)
-            bestv = fv2[np.arange(len(idx)), best]
-            better = bestv > vals[idx] + 1e-15
-            upd = idx[better]
-            theta[upd, sl] = proj[better, best[better]]
-            gain[upd] += bestv[better] - vals[upd]
-            vals[upd] = bestv[better]
-        active = active & (gain > params.tol)
+        base = theta[idx]
+        cand = (base[:, None, :] + pert[None, :, :]).reshape(-1, total)
+        fv = f(cand, np.repeat(keys[idx], 2 * total)).reshape(len(idx), 2 * total)
+        grad = (fv[:, 0::2] - fv[:, 1::2]) / (2.0 * _FD_EPS)
+        # step-halving ladder, evaluated in one batch
+        moved = base[:, None, :] + steps[None, :, None] * grad[:, None, :]
+        proj = _project_simplex_rows(moved.reshape(-1, row)).reshape(len(idx), len(steps), total)
+        fv2 = f(proj.reshape(-1, total), np.repeat(keys[idx], len(steps)))
+        fv2 = fv2.reshape(len(idx), len(steps))
+        best = fv2.argmax(axis=1)
+        bestv = fv2[np.arange(len(idx)), best]
+        better = bestv > vals[idx] + 1e-15
+        upd = idx[better]
+        theta[upd] = proj[better, best[better]]
+        active[idx] = np.where(better, bestv - vals[idx], 0.0) > params.tol
+        vals[upd] = bestv[better]
     # exact projection so the achievers are valid pmfs
-    for sl in blocks:
-        theta[:, sl] = _project_simplex_rows(theta[:, sl])
+    theta = _project_simplex_rows(theta.reshape(-1, row)).reshape(n, total)
     return f(theta, keys), theta, active
 
 
 def _dirichlet_starts(
-    seed: int, key: int, restarts: int, blocks: Sequence[slice]
+    seed: int, key: int, restarts: int, row: int, n_blocks: int
 ) -> np.ndarray:
-    """Dirichlet(1, ..., 1) starts per block from ``SeedSequence(seed, (key,))``."""
+    """Dirichlet(1, ..., 1) starts, block after block, from ``SeedSequence(seed, (key,))``."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
-    out = np.empty((restarts, blocks[-1].stop))
-    for sl in blocks:
-        out[:, sl] = rng.dirichlet(np.ones(sl.stop - sl.start), size=restarts)
-    return out
+    return np.hstack([rng.dirichlet(np.ones(row), size=restarts) for _ in range(n_blocks)])
 
 
 def _chunk_rows(model: WiretapModel | GpModel, u_size: int) -> int:
@@ -640,17 +631,16 @@ def _search(
     """
     row = u_size * model.x_size
     n_blocks = model.z_size if isinstance(model, GpModel) else 1
-    blocks = [slice(r * row, (r + 1) * row) for r in range(n_blocks)]
     lam = None if directions is None else np.asarray(directions, dtype=np.float64)
     n_keys = 1 if lam is None else len(lam)
 
     def f(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
         per_row = None if lam is None else (lam[keys, :1], lam[keys, 1:])
-        return _score(model, u_size, objective, _normalize_blocks(theta, blocks), per_row)[:, 0]
+        return _score(model, u_size, objective, _normalize_blocks(theta, row), per_row)[:, 0]
 
-    starts = [_dirichlet_starts(params.seed, k, restarts, blocks) for k in range(n_keys)]
+    starts = [_dirichlet_starts(params.seed, k, restarts, row, n_blocks) for k in range(n_keys)]
     keys = np.repeat(np.arange(n_keys), restarts)
-    vals, thetas, active = _ascend(f, blocks, np.concatenate(starts), keys, params)
+    vals, thetas, active = _ascend(f, row, np.concatenate(starts), keys, params)
     winners = []
     for lo in range(0, len(vals), restarts):  # the rows of one key
         best = lo + int(np.argmax(vals[lo : lo + restarts]))
@@ -722,7 +712,7 @@ def wt_capacity(model: WiretapModel, params: SearchParams | None = None) -> Capa
     if not isinstance(model, WiretapModel):
         raise ShapeError("wt_capacity needs a WiretapModel")
     if not model.point_to_point:
-        raise ValueError("wt_capacity is for point-to-point models (y2 size 1)")
+        raise ClassificationError("wt_capacity is for point-to-point models (y2 size 1)")
     return _capacity_search(model, params or SearchParams())
 
 
@@ -735,7 +725,7 @@ def gp_capacity(model: GpModel, params: SearchParams | None = None) -> CapacityR
     if not isinstance(model, GpModel):
         raise ShapeError("gp_capacity needs a GpModel")
     if not model.point_to_point:
-        raise ValueError("gp_capacity is for point-to-point models (y2 size 1)")
+        raise ClassificationError("gp_capacity is for point-to-point models (y2 size 1)")
     return _capacity_search(model, params or SearchParams())
 
 
@@ -905,8 +895,12 @@ def _compositions(total: int, parts: int, cache: dict) -> np.ndarray:
 
 
 def _grid(side: str, cells: int, blocks: int, delta: float, budget: int):
-    """Delta-grid over one simplex of ``cells`` cells, and the point count
-    of its ``blocks``-fold product, checked before anything is allocated."""
+    """(compositions, steps, points) of the delta-grid over one simplex.
+
+    The grid is held as int16 compositions of ``steps`` = 1 / delta into
+    ``cells`` parts; ``points`` counts its ``blocks``-fold product and is
+    checked before anything is allocated.
+    """
     steps = round(1.0 / delta)
     if abs(steps * delta - 1.0) > 1e-9:
         raise ValueError("grid delta must divide 1 evenly")
@@ -915,7 +909,7 @@ def _grid(side: str, cells: int, blocks: int, delta: float, budget: int):
         raise ResourceError(
             f"{side} oracle needs {points} grid points for delta={delta}, budget is {budget}"
         )
-    return _compositions(steps, cells, {}).astype(np.float64) / steps, points
+    return _compositions(steps, cells, {}), steps, points
 
 
 @dataclasses.dataclass(frozen=True)
@@ -966,7 +960,7 @@ def brute_force_oracle(
         lam = tuple(np.asarray(directions, dtype=np.float64).T)
     # a wiretap point is one (u, x) block: the |Z| = 1 case of the GP grid
     z_size = model.z_size if side == "gp" else 1
-    row_grid, n_points = _grid(side, u * model.x_size, z_size, delta, budget)
+    row_grid, steps, n_points = _grid(side, u * model.x_size, z_size, delta, budget)
     k = 1 if lam is None else len(directions)
     best_vals = np.full(k, -math.inf)
     best_thetas = np.zeros((k, z_size * row_grid.shape[1]))
@@ -978,6 +972,8 @@ def brute_force_oracle(
         else:  # point i concatenates the grid rows of its base-|grid| digits
             digits = np.unravel_index(np.arange(start, stop), (len(row_grid),) * z_size)
             chunk = np.concatenate([row_grid[d] for d in digits], axis=1)
+        # compositions become probabilities one chunk at a time
+        chunk = chunk / float(steps)
         vals = _score(model, u, objective, chunk, lam)
         i = vals.argmax(axis=0)
         better = vals[i, np.arange(k)] > best_vals

@@ -108,6 +108,21 @@ class TestCapacity:
         assert got["kind"] == "gp"
         assert abs(got["value"] - 1.0) <= 1e-3
 
+    def test_point_to_point_required(self, capsys, tmp_path, quick_search):
+        # criterion 05's random semi-deterministic fixture: y2 has size 2
+        rng = np.random.default_rng(0)
+        f = rng.integers(0, 2, size=2)
+        rows = rng.dirichlet(np.ones(4), size=2)
+        law = np.zeros((2, 2, 2, 2))
+        for x in range(2):
+            law[x, f[x]] = rows[x].reshape(2, 2)
+        path = write_json(tmp_path / "sd05.json", model_to_dict(WiretapModel(law=law)))
+        status, out, err = run(
+            capsys, "capacity", "--channel", path, "--params", quick_search
+        )
+        assert status == 4 and out == ""
+        assert json.loads(err)["error"]["code"] == "classification"
+
 
 class TestRegion:
     def test_csv_artifact_with_sidecar(self, capsys, tmp_path, sd_channel,

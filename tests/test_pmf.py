@@ -53,13 +53,6 @@ class TestJointPmf:
         with pytest.raises(ShapeError):
             JointPmf([Axis("x", 2), Axis("y", 3)], np.full((2, 2), 0.25))
 
-    def test_flat_index_bijection(self):
-        j = JointPmf([Axis("x", 2), Axis("y", 3)], np.full((2, 3), 1 / 6))
-        flat = j.flat()
-        for x in range(2):
-            for y in range(3):
-                assert flat[x * 3 + y] == j.mass[x, y]
-
     def test_marginalize_full_set_is_identity(self):
         rng = np.random.default_rng(0)
         j = random_joint(rng, (2, 3))
@@ -103,8 +96,8 @@ class TestCondition:
         q = np.array([0.2, 0.8])
         j = JointPmf([Axis("x", 2), Axis("y", 2)], np.outer(p, q))
         k = j.condition(["x"])
-        np.testing.assert_allclose(k.row(0), q, atol=1e-15)
-        np.testing.assert_allclose(k.row(1), q, atol=1e-15)
+        np.testing.assert_allclose(k.rows[0], q, atol=1e-15)
+        np.testing.assert_allclose(k.rows[1], q, atol=1e-15)
 
     def test_correlated_pair_identity_kernel(self):
         j = JointPmf([Axis("x", 2), Axis("y", 2)], [[0.5, 0.0], [0.0, 0.5]])
@@ -114,14 +107,14 @@ class TestCondition:
     def test_hand_bayes(self):
         j = JointPmf([Axis("x", 2), Axis("y", 2)], [[0.4, 0.1], [0.1, 0.4]])
         k = j.condition(["x"])
-        np.testing.assert_allclose(k.row(0), [0.8, 0.2], atol=1e-15)
-        np.testing.assert_allclose(k.row(1), [0.2, 0.8], atol=1e-15)
+        np.testing.assert_allclose(k.rows[0], [0.8, 0.2], atol=1e-15)
+        np.testing.assert_allclose(k.rows[1], [0.2, 0.8], atol=1e-15)
 
     def test_zero_row_uniform_filled_and_flagged(self):
         j = JointPmf([Axis("x", 2), Axis("y", 2)], [[0.5, 0.5], [0.0, 0.0]])
         k = j.condition(["x"])
         assert k.filled_rows == ((1,),)
-        np.testing.assert_array_equal(k.row(1), [0.5, 0.5])
+        np.testing.assert_array_equal(k.rows[1], [0.5, 0.5])
 
     def test_compose_with_input_roundtrip(self):
         rng = np.random.default_rng(4)
@@ -157,11 +150,11 @@ class TestIidExtension:
 
     def test_uniform_square(self):
         j = iid_extension(FinitePmf.uniform(2), 2)
-        np.testing.assert_array_equal(j.flat(), np.full(4, 0.25))
+        np.testing.assert_array_equal(j.mass.reshape(-1), np.full(4, 0.25))
 
     def test_hand_products(self):
         j = iid_extension(FinitePmf([0.3, 0.7]), 2)
-        np.testing.assert_allclose(j.flat(), [0.09, 0.21, 0.21, 0.49], atol=1e-15)
+        np.testing.assert_allclose(j.mass.reshape(-1), [0.09, 0.21, 0.21, 0.49], atol=1e-15)
 
     def test_marginals_recover_base(self):
         p = FinitePmf([0.2, 0.5, 0.3])

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from wtgp import regions
 from wtgp.channels import GpModel, WiretapModel, analogous_gpbc, informed_lift
 from wtgp.divergence import mutual_information
 from wtgp.errors import ClassificationError, ResourceError, ShapeError
@@ -248,7 +249,7 @@ class TestCapacities:
         assert abs(res.value - BA_BSC01) <= 1e-4
 
     def test_point_to_point_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ClassificationError):
             wt_capacity(product_wiretap(0.1, 0.3, 0.25), quick_params())
 
 
@@ -362,6 +363,55 @@ def one_state_sd_pair():
     return WiretapModel(law=law), gp
 
 
+def one_state_bsc_pair():
+    """A point-to-point BSC(0.1) wiretap model with |Z| = 1 and the GP
+    model with the same law and the one-point state law."""
+    law = bsc(0.1).reshape(2, 2, 1, 1)
+    gp = GpModel(state_dist=FinitePmf([1.0]), law=law.transpose(0, 3, 1, 2))
+    return WiretapModel(law=law), gp
+
+
+class TestAscent:
+    def test_objective_calls_per_pass_do_not_depend_on_states(self, monkeypatch):
+        # one pass is one gradient call and one ladder call over the whole
+        # (z, u, x) vector, however many state blocks it has
+        calls = []
+        score = regions._score
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(regions, "_score", counted)
+        params = SearchParams(capacity_restarts=2, max_passes=1)
+        counts = []
+        for q_z in ([1.0], [0.2, 0.3, 0.5]):
+            law = np.repeat(bsc(0.1)[:, None, :, None], len(q_z), axis=1)
+            calls.clear()
+            gp_capacity(GpModel(state_dist=FinitePmf(q_z), law=law), params)
+            counts.append(len(calls))
+        # the starts, one pass of two calls, the final projection
+        assert counts == [4, 4]
+
+    def test_one_state_gp_search_is_the_wiretap_search(self):
+        # with one state the GP vector is one block, so the ascent, its
+        # starts and its floats are the wiretap ones
+        params = quick_params(max_passes=50)
+        wt, gp = one_state_bsc_pair()
+        a, b = wt_capacity(wt, params), gp_capacity(gp, params)
+        assert (a.value, a.raw_value, a.converged) == (b.value, b.raw_value, b.converged)
+        assert a.achiever.dist.mass.tobytes() == b.achiever.dist.rows.tobytes()
+        wt, gp = one_state_sd_pair()
+        dirs = sweep_directions(5)
+        a = region_frontier("SD-WT", wt, params, dirs)
+        b = region_frontier("SD-GP", gp, params, dirs)
+        for s, t in zip(a.supports, b.supports, strict=True):
+            assert (s.value, s.r1, s.r2, s.converged) == (t.value, t.r1, t.r2, t.converged)
+            assert s.achiever.dist.mass.tobytes() == t.achiever.dist.rows.tobytes()
+        assert a.boundary == b.boundary
+        assert a.metadata["unconverged_directions"] == b.metadata["unconverged_directions"]
+
+
 class TestGridOracle:
     def test_one_state_gp_grid_is_the_wiretap_grid(self):
         wt, gp = one_state_sd_pair()
@@ -391,6 +441,24 @@ class TestGridOracle:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_grid_kept_as_compositions(self, monkeypatch):
+        # with small chunks the grid is the peak: 53 130 points x 6 cells
+        # are held as int16 compositions and turned into float64 one chunk
+        # at a time, never all at once
+        monkeypatch.setattr(regions, "_CHUNK_CELLS", 1 << 12)
+        model = degraded_wiretap()
+        float_grid = 53_130 * 6 * 8
+        tracemalloc.start()
+        try:
+            oracle = brute_force_oracle(model, delta=0.05, u_size=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert oracle.grid_points == 53_130
+        assert peak < float_grid
+        monkeypatch.undo()
+        assert brute_force_oracle(model, delta=0.05, u_size=3).value == oracle.value
 
 
 class TestHausdorff:
