@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -141,12 +142,37 @@ def _resolve_qz(arg: str | None, model: WiretapModel | GpModel) -> FinitePmf:
     return pmf
 
 
+# the least value of each integer search setting; u_size may also be null
+_SEARCH_INT_MIN = {
+    "restarts": 1,
+    "capacity_restarts": 1,
+    "max_passes": 1,
+    "directions": 2,
+    "seed": 0,
+    "u_size": 1,
+}
+
+
 def _search_params(args) -> SearchParams:
     cfg = _load_params(
         args.params, _SEARCH_KEYS, dataclasses.asdict(SearchParams())
     )
     if args.seed is not None:
         cfg["seed"] = args.seed
+    for key, low in _SEARCH_INT_MIN.items():
+        v = cfg[key]
+        if key == "u_size" and v is None:
+            continue
+        if isinstance(v, bool) or not isinstance(v, int) or v < low:
+            extra = " or null" if key == "u_size" else ""
+            raise ChannelFormatError(
+                f"search param {key!r} must be an integer >= {low}{extra}, got {v!r}"
+            )
+    tol = cfg["tol"]
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
+        raise ChannelFormatError(
+            f"search param 'tol' must be a finite number >= 0, got {tol!r}"
+        )
     return SearchParams(**{k: cfg[k] for k in _SEARCH_KEYS})
 
 

@@ -20,9 +20,12 @@ q(z) * q(u, x | z) * law(y1, y2 | x, z) on the GP side.
 
 Every bound above, the secrecy objective I(U;Y1) - I(U;Z) and the
 informed objective I(X;Y1|Z) live in one table of signed marginal-entropy
-terms, evaluated by one kernel over a batch of joints.  The searches and
-the grid oracle run it on many rows; the scalar ``rate_bounds_from_joint``
-runs it on a batch of one.  Given the same numeric joint, both sides
+terms, evaluated by one kernel over a batch of rows.  The kernel asks a
+marginal provider for each term's marginal.  The model provider builds
+it from the auxiliary rows and the law alone, never the full joint; the
+searches, the grid oracle and ``eval_rate_bounds`` (a batch of one) use
+it.  The sum-down provider sums a prebuilt joint down, for
+``rate_bounds_from_joint``: given the same numeric joint, both sides
 therefore run the identical code path and their bounds agree bitwise;
 that equality is the single-letter face of the analogy.  The support
 function likewise has one vertex definition shared by the scalar maximum
@@ -42,9 +45,9 @@ row reads its own key's lambdas and stops on its own.
 domain and is the independent reference the searches are tested
 against; a wiretap point is the one-block (|Z| = 1) case of the GP
 product grid.  The ascent and the oracle score rows with one evaluator,
-in chunks of at most ``_CHUNK_CELLS`` joint cells.  Negative bound
-values are clamped to zero for reporting; raw values are preserved on
-every ``RateBounds``.
+in chunks of rows whose joints would hold at most ``_CHUNK_CELLS``
+cells.  Negative bound values are clamped to zero for reporting; raw
+values are preserved on every ``RateBounds``.
 """
 
 from __future__ import annotations
@@ -72,7 +75,8 @@ FAMILIES: dict[str, tuple[str, str]] = {
 }
 
 DEFAULT_GRID_BUDGET = 50_000_000
-# joint cells built per objective evaluation, in the searches and the oracle
+# rows scored at once in the searches and the oracle: their joints would hold
+# at most this many cells, so no term marginal built for them holds more
 _CHUNK_CELLS = 1 << 22
 
 
@@ -233,8 +237,8 @@ def _joint_batch(
     return np.einsum("z,bzux,xzjk->buxjkz", model.state_dist.mass, k, model.law)
 
 
-def single_letter_joint(model: WiretapModel | GpModel, aux: AuxiliaryDist) -> JointPmf:
-    """Joint over (u, x, y1, y2, z) induced by the auxiliary and the law."""
+def _aux_row(model: WiretapModel | GpModel, aux: AuxiliaryDist) -> np.ndarray:
+    """The auxiliary as a batch of one flat row, checked against the model."""
     side = "wiretap" if isinstance(model, WiretapModel) else "gp"
     if aux.side != side:
         raise ShapeError(f"{side} model needs a {side}-side auxiliary")
@@ -250,7 +254,12 @@ def single_letter_joint(model: WiretapModel | GpModel, aux: AuxiliaryDist) -> Jo
         if aux.x_size != model.x_size or aux.dist.input_axes[0].size != model.z_size:
             raise ShapeError("auxiliary alphabets do not match the model")
         theta = aux.dist.rows
-    mass = _joint_batch(model, theta.reshape(1, -1), aux.u_size)[0]
+    return theta.reshape(1, -1)
+
+
+def single_letter_joint(model: WiretapModel | GpModel, aux: AuxiliaryDist) -> JointPmf:
+    """Joint over (u, x, y1, y2, z) induced by the auxiliary and the law."""
+    mass = _joint_batch(model, _aux_row(model, aux), aux.u_size)[0]
     return JointPmf([Axis(n, s) for n, s in zip(_JOINT_AXES, mass.shape)], mass)
 
 
@@ -292,30 +301,90 @@ _SECRECY = "I(U;Y1)-I(U;Z)"
 _INFORMED = "I(X;Y1|Z)"
 
 
-def _batch_entropy(arr: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """Entropies (bits) of the ``keep``-axes marginal, per batch row."""
-    drop = tuple(i for i in range(1, arr.ndim) if i not in keep)
-    m = arr.sum(axis=drop) if drop else arr
-    m = m.reshape(arr.shape[0], -1)
-    out = np.zeros_like(m)
-    nz = m > 0.0
-    mz = m[nz]
-    out[nz] = mz * np.log2(mz)
-    return -out.sum(axis=1)
+# a term's marginal: its kept axes -> the (b, ...) marginal of each batch row
+Marginals = Callable[[tuple[int, ...]], np.ndarray]
 
 
-def _evaluate(j: np.ndarray, names: Sequence[str | None]) -> list[np.ndarray | None]:
-    """Per-row values of the named expressions on a (b, u, x, y1, y2, z) batch.
+def _summed_down(j: np.ndarray) -> Marginals:
+    """Marginals of a prebuilt (b, u, x, y1, y2, z) joint batch, summed down."""
 
-    Each distinct marginal entropy is computed once per call and dropped
-    after its last use.
+    def marginal(keep: tuple[int, ...]) -> np.ndarray:
+        drop = tuple(i for i in range(1, j.ndim) if i not in keep)
+        return j.sum(axis=drop) if drop else j
+
+    return marginal
+
+
+def _model_marginals(
+    model: WiretapModel | GpModel, theta: np.ndarray, u_size: int
+) -> Marginals:
+    """Marginals of the single-letter joints of flat auxiliary rows, each
+    built from the auxiliary and the law without the joint.
+
+    The rows are held as blocks (b, s, u, x) and the law as (s, x, outs).
+    On the GP side s is the state z, shared by both factors, and the law
+    holds q(z); a wiretap row is the one-block case, whose law keeps z
+    among its outputs.  A term's marginal sums the law down to the outputs
+    it keeps and, when it drops U, sums u out of the blocks; then one
+    product contracts x: a matrix product (over s too when the term drops
+    Z), or a broadcast product when the term keeps X.
     """
+    b = len(theta)
+    if isinstance(model, WiretapModel):
+        sizes = dict(zip((_X, _Y1, _Y2, _Z), model.law.shape))
+        law, outs = model.law[None], (_Y1, _Y2, _Z)
+        blocks = theta.reshape(b, 1, u_size, model.x_size)
+    else:
+        sizes = dict(zip((_X, _Z, _Y1, _Y2), model.law.shape))
+        law = (model.law * model.state_dist.mass[:, None, None]).transpose(1, 0, 2, 3)
+        outs = (_Y1, _Y2)
+        blocks = theta.reshape(b, model.z_size, u_size, model.x_size)
+    sizes[_U] = u_size
+    no_u = blocks.sum(axis=2, keepdims=True)
+
+    def marginal(keep: tuple[int, ...]) -> np.ndarray:
+        p = blocks if _U in keep else no_u
+        drop = tuple(2 + i for i, ax in enumerate(outs) if ax not in keep)
+        lk = law.sum(axis=drop) if drop else law  # (s, x, kept outs)
+        s, nx = lk.shape[:2]
+        if _X in keep:  # (b, s, u, x, outs)
+            m = p.reshape(p.shape + (1,) * (lk.ndim - 2)) * lk[None, :, None]
+            m = np.moveaxis(m, 1, -1) if _Z in keep else m.sum(axis=1)
+        elif _Z in keep:  # (s, b * u, outs)
+            m = p.transpose(1, 0, 2, 3).reshape(s, -1, nx) @ lk.reshape(s, nx, -1)
+            m = np.moveaxis(m, 0, -1)
+        else:
+            m = p.transpose(0, 2, 1, 3).reshape(-1, s * nx) @ lk.reshape(s * nx, -1)
+        return m.reshape((b,) + tuple(sizes[i] for i in sorted(keep)))
+
+    return marginal
+
+
+def _batch_entropy(m: np.ndarray) -> np.ndarray:
+    """Entropies (bits) of a (b, ...) batch of marginals, per batch row."""
+    m = m.reshape(m.shape[0], -1)
+    # 0 log 0 = 0: empty cells take log2(1) = 0
+    return -(m * np.log2(np.where(m > 0.0, m, 1.0))).sum(axis=1)
+
+
+def _evaluate(
+    marginal: Marginals | np.ndarray, names: Sequence[str | None]
+) -> list[np.ndarray | None]:
+    """Per-row values of the named expressions.
+
+    ``marginal`` gives each term's marginal; a (b, u, x, y1, y2, z) joint
+    batch stands for its ``_summed_down`` marginals.  Each distinct
+    marginal entropy is computed once per call and dropped after its last
+    use.
+    """
+    if isinstance(marginal, np.ndarray):
+        marginal = _summed_down(marginal)
     uses = Counter(keep for name in names if name for _, keep in _EXPRESSIONS[name])
     cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def h(keep: tuple[int, ...]) -> np.ndarray:
         if keep not in cache:
-            cache[keep] = _batch_entropy(j, keep)
+            cache[keep] = _batch_entropy(marginal(keep))
         uses[keep] -= 1
         return cache[keep] if uses[keep] else cache.pop(keep)
 
@@ -332,9 +401,9 @@ def _evaluate(j: np.ndarray, names: Sequence[str | None]) -> list[np.ndarray | N
     return out
 
 
-def _rates(kind: str, j: np.ndarray, coop: float | None):
+def _rates(kind: str, marginal: Marginals | np.ndarray, coop: float | None):
     """Raw (r1, r2, r_sum) per batch row; r_sum is None without a sum bound."""
-    r1, r2, rs = _evaluate(j, _KIND_ROWS[kind])
+    r1, r2, rs = _evaluate(marginal, _KIND_ROWS[kind])
     if kind == "PD-IR-COOP":
         r2 = r2 + float(coop)
     return r1, r2, rs
@@ -415,8 +484,8 @@ def eval_rate_bounds(
             f"auxiliary cardinality {aux.u_size} exceeds the default cap {cap}; "
             "set allow_large_u to override"
         )
-    joint = single_letter_joint(model, aux)
-    return rate_bounds_from_joint(family, joint, model.coop_capacity)
+    marginal = _model_marginals(model, _aux_row(model, aux), aux.u_size)
+    return _rate_bounds(family, *_rates(_family(family)[1], marginal, model.coop_capacity))
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +644,7 @@ def _dirichlet_starts(
 
 
 def _chunk_rows(model: WiretapModel | GpModel, u_size: int) -> int:
-    """Rows whose joints hold at most ``_CHUNK_CELLS`` cells together."""
+    """Rows whose joints would hold at most ``_CHUNK_CELLS`` cells together."""
     return max(1, _CHUNK_CELLS // (u_size * model.law.size))
 
 
@@ -597,9 +666,9 @@ def _score(
     step = _chunk_rows(model, u_size)
     kind = objective in _KIND_ROWS
     parts = [
-        _rates(objective, j, model.coop_capacity) if kind else _evaluate(j, (objective,))
-        for j in (
-            _joint_batch(model, theta[i : i + step], u_size)
+        _rates(objective, m, model.coop_capacity) if kind else _evaluate(m, (objective,))
+        for m in (
+            _model_marginals(model, theta[i : i + step], u_size)
             for i in range(0, len(theta), step)
         )
     ]
@@ -1031,8 +1100,8 @@ def _sd_pair(p_vtx: JointPmf, model: WiretapModel) -> tuple[RateBounds, RateBoun
         raise ShapeError("x alphabet mismatch")
 
     def sd(p_ux: np.ndarray) -> RateBounds:
-        j = _joint_batch(model, p_ux.reshape(1, -1), p_ux.shape[0])
-        return _rate_bounds("SD-WT", *_rates("SD", j, None))
+        marginal = _model_marginals(model, p_ux.reshape(1, -1), p_ux.shape[0])
+        return _rate_bounds("SD-WT", *_rates("SD", marginal, None))
 
     nv, nt, nx = p_vtx.mass.shape
     return sd(p_vtx.mass.sum(axis=1)), sd(p_vtx.mass.reshape(nv * nt, nx))

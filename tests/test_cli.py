@@ -352,6 +352,57 @@ class TestErrorReporting:
         assert status == 5
         assert key in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"restarts": 0},
+            {"restarts": True},
+            {"capacity_restarts": 2.5},
+            {"max_passes": -1},
+            {"max_passes": "10"},
+            {"directions": 1},
+            {"tol": "x"},
+            {"tol": -1e-9},
+            {"tol": float("inf")},
+            {"tol": float("nan")},
+            {"tol": False},
+            {"seed": -1},
+            {"seed": 1.0},
+            {"u_size": 0},
+            {"u_size": 1.5},
+        ],
+    )
+    def test_search_params_out_of_domain(self, capsys, pp_channel, tmp_path, doc):
+        # refused with the channel-format status before any search runs
+        params = write_json(tmp_path / "p.json", doc)
+        status, _, err = run(
+            capsys, "capacity", "--channel", pp_channel, "--params", params
+        )
+        assert status == 5
+        error = json.loads(err)["error"]
+        assert error["code"] == "channel-format"
+        (key,) = doc
+        assert key in error["message"]
+
+    def test_search_seed_flag_checked(self, capsys, sd_channel):
+        status, _, err = run(
+            capsys, "region", "--channel", sd_channel, "--family", "SD-WT", "--seed", "-1"
+        )
+        assert status == 5
+        assert json.loads(err)["error"]["code"] == "channel-format"
+
+    def test_search_params_at_their_least_values(self, capsys, pp_channel, tmp_path):
+        doc = {
+            "restarts": 1, "capacity_restarts": 1, "max_passes": 1, "directions": 2,
+            "tol": 0, "seed": 0, "u_size": None,
+        }
+        params = write_json(tmp_path / "p.json", doc)
+        status, out, _ = run(
+            capsys, "capacity", "--channel", pp_channel, "--params", params
+        )
+        assert status == 0
+        assert json.loads(out)["metadata"]["restarts"] == 1
+
     def test_numerical_status(self, capsys, monkeypatch, product_channel):
         def broken(*args, **kwargs):
             raise NumericalError("total variation residual 3e-09, tolerance 1e-12")
