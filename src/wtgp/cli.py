@@ -6,10 +6,14 @@ sweep), ``transform`` (wiretap model to its analogous GP model),
 family residuals plus small-code exact identities).
 
 Settings precedence is flags > ``--params`` JSON file > built-in
-defaults; unknown keys in a params file are rejected.  All artifacts are
-deterministic functions of their inputs: sorted JSON keys, full-precision
-floats, no timestamps.  Failures print one JSON object to stderr with a
-stable ``code`` and exit with that error class's status.
+defaults.  Every params key of every subcommand is checked against one
+table (``_PARAMS``) after the layers are merged: an unknown key or a
+value outside its key's domain is a channel-format error naming the key,
+and a ``p_ux`` or ``--qz`` pmf that does not sum to 1 is a row-sum error.
+All artifacts are deterministic functions of their inputs: sorted JSON
+keys, full-precision floats, no timestamps.  Failures print one JSON
+object to stderr with a stable ``code`` and exit with that error class's
+status.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -32,8 +35,6 @@ from .channels import (
     model_to_dict,
 )
 from .codes import (
-    DEFAULT_ENUM_BUDGET,
-    DEFAULT_TABLE_BUDGET,
     CodeRates,
     SimParams,
     effective_secrecy,
@@ -47,8 +48,8 @@ from .codes import (
     superposition_code,
     tv_to_target,
 )
-from .errors import ChannelFormatError, WtgpError
-from .pmf import Axis, FinitePmf, JointPmf
+from .errors import ChannelFormatError, RowSumError, WtgpError
+from .pmf import NORMALIZATION_TOL, Axis, FinitePmf, JointPmf
 from .regions import (
     FAMILIES,
     SearchParams,
@@ -63,22 +64,6 @@ from .regions import (
     single_letter_joint,
     wt_capacity,
 )
-
-_SEARCH_KEYS = tuple(f.name for f in dataclasses.fields(SearchParams))
-_SIM_KEYS = (
-    "n_list",
-    "eps",
-    "trials",
-    "batches",
-    "mode",
-    "budget",
-    "table_budget",
-    "rates",
-    "p_ux",
-    "seed",
-)
-_COMPARE_KEYS = ("u_size", "c12", "n", "eps", "rates", "seed")
-
 
 def _json_default(obj):
     if isinstance(obj, np.integer):
@@ -102,22 +87,107 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_params(path: str | None, allowed: tuple[str, ...], defaults: dict) -> dict:
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ChannelFormatError(f"cannot read {what} {path} as JSON: {exc}") from None
+
+
+def _is_int(v, least: int = 1) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _is_number(v) -> bool:
+    return (
+        isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and 0 <= v <= sys.float_info.max
+    )
+
+
+def _is_vector(v) -> bool:
+    return isinstance(v, list) and len(v) > 0 and all(map(_is_number, v))
+
+
+_AN_INT = ("an integer >= 1", _is_int)
+_A_NUMBER = ("a finite number >= 0", _is_number)
+
+# every params key of every subcommand: (what it must be, test); a
+# subcommand accepts exactly the keys of its defaults
+_PARAMS = {
+    "restarts": _AN_INT,
+    "capacity_restarts": _AN_INT,
+    "max_passes": _AN_INT,
+    "n": _AN_INT,
+    "trials": _AN_INT,
+    "budget": _AN_INT,
+    "table_budget": _AN_INT,
+    # batch standard errors use ddof = 1
+    "batches": ("an integer >= 2", lambda v: _is_int(v, 2)),
+    "directions": ("an integer >= 2", lambda v: _is_int(v, 2)),
+    "seed": ("an integer >= 0", lambda v: _is_int(v, 0)),
+    "u_size": ("null or an integer >= 1", lambda v: v is None or _is_int(v)),
+    "tol": _A_NUMBER,
+    "eps": _A_NUMBER,
+    "c12": _A_NUMBER,
+    "n_list": (
+        "a non-empty list of integers >= 1",
+        lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(_is_int, v)),
+    ),
+    "mode": ("'mc' or 'exact'", lambda v: v in ("mc", "exact")),
+    "rates": (
+        "an object with r1 and optionally r2, rt1, rt2, each a finite number >= 0",
+        lambda v: isinstance(v, dict)
+        and "r1" in v
+        and set(v) <= {"r1", "r2", "rt1", "rt2"}
+        and all(map(_is_number, v.values())),
+    ),
+    "p_ux": (
+        "a non-empty rectangular 2-d list of finite numbers >= 0",
+        lambda v: isinstance(v, list)
+        and len(v) > 0
+        and all(_is_vector(row) and len(row) == len(v[0]) for row in v),
+    ),
+}
+
+
+def _params(args, defaults: dict, **flags) -> dict:
+    """Defaults, then the ``--params`` file, then the flags given; all checked."""
     cfg = dict(defaults)
-    if path:
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ChannelFormatError(f"params file is not valid JSON: {exc}") from exc
+    if args.params:
+        doc = _read_json(args.params, "params file")
         if not isinstance(doc, dict):
             raise ChannelFormatError("params file must hold a JSON object")
-        unknown = set(doc) - set(allowed)
+        unknown = set(doc) - set(defaults)
         if unknown:
             raise ChannelFormatError(
-                f"unknown params keys {sorted(unknown)}; allowed: {sorted(allowed)}"
+                f"unknown params keys {sorted(unknown)}; allowed: {sorted(defaults)}"
             )
         cfg.update(doc)
+    flags["seed"] = args.seed
+    cfg.update((k, v) for k, v in flags.items() if v is not None)
+    for key, value in cfg.items():
+        what, ok = _PARAMS[key]
+        if not ok(value):
+            raise ChannelFormatError(f"param {key!r} must be {what}, got {value!r}")
+    if "batches" in cfg and cfg["trials"] < cfg["batches"]:
+        raise ChannelFormatError(
+            f"param 'trials' must be >= batches ({cfg['batches']}), got {cfg['trials']}"
+        )
     return cfg
+
+
+def _pmf_array(value, what: str) -> np.ndarray:
+    """``value`` as an array, refused unless it sums to 1 (never rescaled)."""
+    arr = np.asarray(value, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise RowSumError(
+            f"{what} sums to {total!r}, outside tolerance {NORMALIZATION_TOL}"
+        )
+    return arr
 
 
 def _resolve_qz(arg: str | None, model: WiretapModel | GpModel) -> FinitePmf:
@@ -127,61 +197,14 @@ def _resolve_qz(arg: str | None, model: WiretapModel | GpModel) -> FinitePmf:
         return default_state_dist(model)
     if arg == "uniform":
         return FinitePmf.uniform(model.z_size)
-    try:
-        doc = json.loads(Path(arg).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ChannelFormatError(f"state pmf file is not valid JSON: {exc}") from exc
+    doc = _read_json(arg, "state pmf file")
     vec = doc.get("dist") if isinstance(doc, dict) else doc
-    if not isinstance(vec, list):
-        raise ChannelFormatError("state pmf file must hold a list or {'dist': [...]}")
-    pmf = FinitePmf(np.asarray(vec, dtype=np.float64))
-    if pmf.alphabet_size != model.z_size:
+    if not _is_vector(vec) or len(vec) != model.z_size:
         raise ChannelFormatError(
-            f"state pmf has {pmf.alphabet_size} letters, model z-size is {model.z_size}"
+            f"state pmf file {arg} must hold a list or {{'dist': [...]}} of "
+            f"{model.z_size} finite numbers >= 0, got {vec!r}"
         )
-    return pmf
-
-
-# the least value of each integer search setting; u_size may also be null
-_SEARCH_INT_MIN = {
-    "restarts": 1,
-    "capacity_restarts": 1,
-    "max_passes": 1,
-    "directions": 2,
-    "seed": 0,
-    "u_size": 1,
-}
-
-
-def _search_params(args) -> SearchParams:
-    cfg = _load_params(
-        args.params, _SEARCH_KEYS, dataclasses.asdict(SearchParams())
-    )
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    for key, low in _SEARCH_INT_MIN.items():
-        v = cfg[key]
-        if key == "u_size" and v is None:
-            continue
-        if isinstance(v, bool) or not isinstance(v, int) or v < low:
-            extra = " or null" if key == "u_size" else ""
-            raise ChannelFormatError(
-                f"search param {key!r} must be an integer >= {low}{extra}, got {v!r}"
-            )
-    tol = cfg["tol"]
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
-        raise ChannelFormatError(
-            f"search param 'tol' must be a finite number >= 0, got {tol!r}"
-        )
-    return SearchParams(**{k: cfg[k] for k in _SEARCH_KEYS})
-
-
-def _rates_from_cfg(raw) -> CodeRates:
-    if not isinstance(raw, dict) or not set(raw) <= {"r1", "r2", "rt1", "rt2"}:
-        raise ChannelFormatError(
-            "rates must be an object with keys among r1, r2, rt1, rt2"
-        )
-    return CodeRates(**{k: float(v) for k, v in raw.items()})
+    return FinitePmf(_pmf_array(vec, f"state pmf file {arg}"))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +214,7 @@ def _rates_from_cfg(raw) -> CodeRates:
 
 def _run_capacity(args) -> tuple[dict, int]:
     model = load_model(args.channel)
-    params = _search_params(args)
+    params = SearchParams(**_params(args, dataclasses.asdict(SearchParams())))
     if isinstance(model, WiretapModel):
         res = wt_capacity(model, params)
         kind = "wiretap"
@@ -214,7 +237,7 @@ def _run_capacity(args) -> tuple[dict, int]:
 
 def _run_region(args) -> tuple[dict, int]:
     model = load_model(args.channel)
-    params = _search_params(args)
+    params = SearchParams(**_params(args, dataclasses.asdict(SearchParams())))
     region = region_frontier(args.family, model, params)
     doc = {"command": "region", **region_to_dict(region)}
     if args.out and args.out.endswith(".csv"):
@@ -240,75 +263,43 @@ def _run_simulate(args) -> tuple[dict, int]:
     model = load_model(args.channel)
     if not isinstance(model, WiretapModel):
         raise ChannelFormatError("simulate runs wiretap-side codes")
-    defaults = {
-        "n_list": [2, 4, 6, 8],
-        "eps": 0.2,
-        "trials": 100_000,
-        "batches": 10,
-        "mode": "mc",
-        "budget": DEFAULT_ENUM_BUDGET,
-        "table_budget": DEFAULT_TABLE_BUDGET,
-        "rates": None,
-        "p_ux": None,
-        "seed": 0,
-    }
-    cfg = _load_params(args.params, _SIM_KEYS, defaults)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.exact:
-        cfg["mode"] = "exact"
-    if args.mc is not None:
-        cfg["mode"] = "mc"
-        cfg["trials"] = args.mc
-    if cfg["rates"] is None or cfg["p_ux"] is None:
-        raise ChannelFormatError("simulate needs 'rates' and 'p_ux' in the params file")
-    rates = _rates_from_cfg(cfg["rates"])
-    arr = np.asarray(cfg["p_ux"], dtype=np.float64)
-    if arr.ndim != 2:
-        raise ChannelFormatError("p_ux must be a 2-d nested list over (u, x)")
+    cfg = _params(
+        args,
+        {**dataclasses.asdict(SimParams()), "mode": "mc", "rates": None, "p_ux": None},
+        mode="exact" if args.exact else "mc" if args.mc is not None else None,
+        trials=args.mc,
+    )
+    mode = cfg.pop("mode")
+    rates = CodeRates(**cfg.pop("rates"))
+    arr = _pmf_array(cfg.pop("p_ux"), "param 'p_ux'")
     p_ux = JointPmf([Axis("u", arr.shape[0]), Axis("x", arr.shape[1])], arr)
+    params = SimParams(**{**cfg, "n_list": tuple(cfg["n_list"])})
     q_z = _resolve_qz(args.qz, model)
-    if cfg["mode"] == "mc":
-        results = simulate_trend(
-            model,
-            p_ux,
-            rates,
-            SimParams(
-                n_list=tuple(int(n) for n in cfg["n_list"]),
-                eps=float(cfg["eps"]),
-                trials=int(cfg["trials"]),
-                batches=int(cfg["batches"]),
-                seed=int(cfg["seed"]),
-                table_budget=int(cfg["table_budget"]),
-                budget=int(cfg["budget"]),
-            ),
-            q_z,
-        )
+    if mode == "mc":
+        results = simulate_trend(model, p_ux, rates, params, q_z)
     else:
         results = []
-        for n in cfg["n_list"]:
-            cb = sample_codebook(p_ux, int(n), rates, int(cfg["seed"]))
-            code = superposition_code(
-                cb, model, float(cfg["eps"]), int(cfg["table_budget"])
-            )
-            ij = induced_joint(code, model, mode="exact", budget=int(cfg["budget"]))
+        for n in params.n_list:
+            cb = sample_codebook(p_ux, n, rates, params.seed)
+            code = superposition_code(cb, model, params.eps, params.table_budget)
+            ij = induced_joint(code, model, mode="exact", budget=params.budget)
             sec = effective_secrecy(ij, q_z)
             results.append(
                 {
-                    "n": int(n),
+                    "n": n,
                     "error_probability": error_probability(ij),
                     "effective_secrecy": sec.total,
                     "leakage": sec.leakage,
                     "stealth": sec.stealth,
                     "tv_to_target": tv_to_target(ij, q_z),
                     "message_sizes": [code.m1_size, code.m2_size],
-                    "seed": int(cfg["seed"]),
+                    "seed": params.seed,
                 }
             )
     doc = {
         "command": "simulate",
-        "mode": cfg["mode"],
-        "eps": float(cfg["eps"]),
+        "mode": mode,
+        "eps": float(params.eps),
         "results": results,
     }
     _emit(doc, args.out)
@@ -319,19 +310,19 @@ def _run_compare(args) -> tuple[dict, int]:
     model = load_model(args.channel)
     if not isinstance(model, WiretapModel):
         raise ChannelFormatError("compare starts from a wiretap model")
-    defaults = {
-        "u_size": None,
-        "c12": 0.1,
-        "n": 1,
-        "eps": 0.5,
-        "rates": {"r1": 1.0, "rt1": 1.0},
-        "seed": 0,
-    }
-    cfg = _load_params(args.params, _COMPARE_KEYS, defaults)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    seed = int(cfg["seed"])
-    u_size = int(cfg["u_size"] or default_u_size(model))
+    cfg = _params(
+        args,
+        {
+            "u_size": None,
+            "c12": 0.1,
+            "n": 1,
+            "eps": 0.5,
+            "rates": {"r1": 1.0, "rt1": 1.0},
+            "seed": 0,
+        },
+    )
+    seed = cfg["seed"]
+    u_size = cfg["u_size"] or default_u_size(model)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(9,)))
     theta = rng.dirichlet(np.ones(u_size * model.x_size))
     aux = aux_from_array("wiretap", theta, u_size, model.x_size)
@@ -342,7 +333,7 @@ def _run_compare(args) -> tuple[dict, int]:
     pairs = [
         ("SD-WT", "SD-GP", None),
         ("PD-IR-WT", "PD-IR-GP", None),
-        ("PD-IR-WT-COOP", "PD-IR-GP-COOP", float(cfg["c12"])),
+        ("PD-IR-WT-COOP", "PD-IR-GP-COOP", cfg["c12"]),
     ]
     for fam_wt, fam_gp, coop in pairs:
         a = rate_bounds_from_joint(fam_wt, joint, coop)
@@ -364,9 +355,8 @@ def _run_compare(args) -> tuple[dict, int]:
         )
 
     q_z = _resolve_qz(args.qz, model)
-    rates = _rates_from_cfg(cfg["rates"])
-    cb = sample_codebook(aux.dist, int(cfg["n"]), rates, seed)
-    code = superposition_code(cb, model, float(cfg["eps"]))
+    cb = sample_codebook(aux.dist, cfg["n"], CodeRates(**cfg["rates"]), seed)
+    code = superposition_code(cb, model, cfg["eps"])
     ij = induced_joint(code, model, mode="exact")
     rel = reliability_identity_residual(ij)
     sec = secrecy_identity_residual(ij, q_z)
@@ -381,7 +371,7 @@ def _run_compare(args) -> tuple[dict, int]:
         "command": "compare",
         "family_table": table,
         "code_identities": {
-            "n": int(cfg["n"]),
+            "n": cfg["n"],
             "reliability_residual": rel,
             "secrecy_split_residual": sec,
             "gp_collapse_residual": collapse,

@@ -352,28 +352,13 @@ def _decode_all(
 def _receiver1_candidates(cb: SuperpositionCodebook):
     """Per-candidate (u, x) letter codes and message labels for receiver 1."""
     m1s, w1s, m2s, w2s, n = cb.outer.shape
-    cands = []
-    labels = []
-    for m1 in range(m1s):
-        for w1 in range(w1s):
-            for m2 in range(m2s):
-                for w2 in range(w2s):
-                    u = cb.inner[m2, w2]
-                    x = cb.outer[m1, w1, m2, w2]
-                    cands.append(u * cb.x_size + x)
-                    labels.append(m1)
-    return np.array(cands, dtype=np.int64), np.array(labels, dtype=np.int64)
+    cands = (cb.inner[None, None] * cb.x_size + cb.outer).reshape(-1, n)
+    return cands, np.repeat(np.arange(m1s), w1s * m2s * w2s)
 
 
 def _receiver2_candidates(cb: SuperpositionCodebook):
-    m2s, w2s, _ = cb.inner.shape
-    cands = []
-    labels = []
-    for m2 in range(m2s):
-        for w2 in range(w2s):
-            cands.append(cb.inner[m2, w2])
-            labels.append(m2)
-    return np.array(cands, dtype=np.int64), np.array(labels, dtype=np.int64)
+    m2s, w2s, n = cb.inner.shape
+    return cb.inner.reshape(-1, n), np.repeat(np.arange(m2s), w2s)
 
 
 def superposition_code(
@@ -1146,7 +1131,7 @@ def multiletter_converse_gap(
 
 @dataclasses.dataclass(frozen=True)
 class SimParams:
-    n_list: tuple[int, ...]
+    n_list: tuple[int, ...] = (2, 4, 6, 8)
     eps: float = 0.2
     trials: int = 100_000
     batches: int = 10

@@ -207,7 +207,35 @@ def assert_tables_match_scalar_decoder(code):
         assert code.dec2[flat] == typicality_decode(code, seq, 2)
 
 
+def loop_candidates(cb):
+    """Reference: receiver-1 and receiver-2 candidates, one codeword at a time."""
+    m1s, w1s, m2s, w2s, _ = cb.outer.shape
+    c1, l1, c2, l2 = [], [], [], []
+    for m1, w1, m2, w2 in itertools.product(range(m1s), range(w1s), range(m2s), range(w2s)):
+        c1.append(cb.inner[m2, w2] * cb.x_size + cb.outer[m1, w1, m2, w2])
+        l1.append(m1)
+    for m2, w2 in itertools.product(range(m2s), range(w2s)):
+        c2.append(cb.inner[m2, w2])
+        l2.append(m2)
+    return [np.array(a, dtype=np.int64) for a in (c1, l1, c2, l2)]
+
+
 class TestDecoder:
+    def test_candidates_match_loop_reference(self):
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            us, xs, n = rng.integers(1, 4, size=3)
+            p_ux = JointPmf(
+                [Axis("u", us), Axis("x", xs)],
+                rng.dirichlet(np.ones(us * xs)).reshape(us, xs),
+            )
+            rates = CodeRates(*rng.choice([0.0, 0.5, 1.0], size=4))
+            cb = sample_codebook(p_ux, n, rates, int(rng.integers(100)))
+            got = [*codes._receiver1_candidates(cb), *codes._receiver2_candidates(cb)]
+            for g, want in zip(got, loop_candidates(cb)):
+                assert g.dtype == want.dtype
+                np.testing.assert_array_equal(g, want)
+
     @pytest.mark.parametrize("informed", [False, True])
     def test_tables_match_scalar_decoder(self, informed):
         code, _ = make_code(model=product_model(informed_receiver=informed))
