@@ -17,15 +17,19 @@ y1 -> y2) structures that the rate-region families require.
 File format: a channel JSON object with fields ``kind`` ("wiretap" or
 "gp"), ``alphabets`` (named sizes), ``law`` (nested lists, wiretap order
 [x][y1][y2][z], GP order [x][z][y1][y2]), ``state_dist`` (GP only),
-optional ``informed_receiver`` and ``coop_capacity``.  Rows must sum to 1
-within 1e-9 (then rescaled exactly); negative entries are rejected with
-their cell coordinates.
+optional ``informed_receiver`` (true or false), ``coop_capacity`` (null
+or a finite number >= 0) and, for GP, ``filled_cells`` ([x, z] pairs).
+Rows must sum to 1 within 1e-9 (then rescaled exactly).  Arrays of
+anything but numbers are rejected, non-finite and negative entries with
+their cell coordinates.  Every field is checked, never cast, so a
+malformed one is a channel-format error naming it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -47,6 +51,9 @@ PD_RESIDUAL_TOL = 1e-9
 def _check_law(law: np.ndarray, row_axes: int, what: str) -> np.ndarray:
     """Validate a conditional law whose leading ``row_axes`` axes index rows."""
     law = np.ascontiguousarray(law, dtype=np.float64)
+    if not np.isfinite(law).all():
+        cell = tuple(int(i) for i in np.argwhere(~np.isfinite(law))[0])
+        raise ValueError(f"{what} has a non-finite entry at cell {cell}")
     if (law < 0.0).any():
         cell = tuple(int(i) for i in np.argwhere(law < 0.0)[0])
         raise ValueError(f"{what} has a negative entry at cell {cell}")
@@ -306,17 +313,29 @@ _GP_ALPHABET_ORDER = ("x", "z", "y1", "y2")
 
 def _load_rows(raw, shape, what: str) -> np.ndarray:
     try:
-        arr = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(raw, dtype=object)
+    except ValueError as exc:
         raise ChannelFormatError(f"{what} is not a numeric array: {exc}") from None
+    for cell, v in np.ndenumerate(arr):
+        if not _is_finite(v):
+            raise ChannelFormatError(f"{what} entry at cell {cell} is not a finite number: {v!r}")
     if arr.shape != shape:
         raise AlphabetMismatchError(
             f"{what} has shape {arr.shape}, alphabets require {shape}"
         )
+    arr = arr.astype(np.float64)
     if (arr < 0.0).any():
         cell = tuple(int(i) for i in np.argwhere(arr < 0.0)[0])
         raise ChannelFormatError(f"{what} has a negative entry at cell {cell}")
     return arr
+
+
+def _is_int(v, least: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _is_finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _normalize_rows(arr: np.ndarray, row_axes: int, what: str) -> np.ndarray:
@@ -345,18 +364,20 @@ def model_from_dict(doc: dict) -> WiretapModel | GpModel:
     missing = [k for k in order if k not in alphabets]
     if missing:
         raise ChannelFormatError(f"alphabets missing sizes for {missing}")
-    try:
-        sizes = {k: int(alphabets[k]) for k in order}
-    except (TypeError, ValueError):
-        raise ChannelFormatError("alphabet sizes must be integers") from None
-    if any(v < 1 for v in sizes.values()):
-        raise ChannelFormatError("alphabet sizes must be >= 1")
-    informed = bool(doc.get("informed_receiver", False))
+    sizes = {k: alphabets[k] for k in order}
+    for k, v in sizes.items():
+        if not _is_int(v, 1):
+            raise ChannelFormatError(f"alphabet size '{k}' must be an integer >= 1, got {v!r}")
+    informed = doc.get("informed_receiver", False)
+    if not isinstance(informed, bool):
+        raise ChannelFormatError(f"informed_receiver must be true or false, got {informed!r}")
     coop = doc.get("coop_capacity")
     if coop is not None:
+        if not (_is_finite(coop) and coop >= 0):
+            raise ChannelFormatError(
+                f"coop_capacity must be null or a finite number >= 0, got {coop!r}"
+            )
         coop = float(coop)
-        if not coop >= 0.0:
-            raise ChannelFormatError("coop_capacity must be >= 0")
     if "law" not in doc:
         raise ChannelFormatError("missing 'law'")
     if kind == "wiretap":
@@ -373,9 +394,15 @@ def model_from_dict(doc: dict) -> WiretapModel | GpModel:
         raise RowSumError(
             f"state_dist sums to {total!r}, outside tolerance {ROW_SUM_TOL}"
         )
-    filled = tuple(
-        (int(a), int(b)) for a, b in doc.get("filled_cells", [])
-    )
+    filled = doc.get("filled_cells", [])
+    if not isinstance(filled, list) or not all(
+        isinstance(c, list) and len(c) == 2 and all(_is_int(v, 0) for v in c)
+        and c[0] < sizes["x"] and c[1] < sizes["z"]
+        for c in filled
+    ):
+        raise ChannelFormatError(
+            f"filled_cells must be a list of [x, z] cells within the alphabets, got {filled!r}"
+        )
     return GpModel(
         state_dist=FinitePmf(sd / total),
         law=law,

@@ -73,7 +73,14 @@ _F32_EXACT = 1 << 24
 # ---------------------------------------------------------------------------
 
 
+def _check_seq_space(base: int, n: int) -> None:
+    """Refuse n-letter sequences whose flat indices 0 .. base**n - 1 overflow int64."""
+    if base > 1 and (n >= 64 or base**n > 1 << 63):
+        raise ResourceError(f"{base}**{n} sequences overflow int64 flat indices")
+
+
 def _seq_powers(base: int, n: int) -> np.ndarray:
+    _check_seq_space(base, n)
     return base ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
@@ -81,7 +88,9 @@ def _seq_index(letters: np.ndarray, base: int) -> np.ndarray:
     letters = np.asarray(letters, dtype=np.int64)
     return letters @ _seq_powers(base, letters.shape[-1])
 
+
 def _seq_digits(indices: np.ndarray, base: int, n: int) -> np.ndarray:
+    _check_seq_space(base, n)
     indices = np.asarray(indices, dtype=np.int64)
     out = np.empty(indices.shape + (n,), dtype=np.int64)
     rem = indices
@@ -652,6 +661,38 @@ def _trial_block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
+def _skip_uniforms(rng: np.random.Generator, d: int) -> None:
+    """Move ``rng`` past ``d`` uniform doubles, d a multiple of 4, without drawing them.
+
+    Each double takes one 64-bit Philox output and each counter step makes
+    four.  Advancing empties the output buffer, so when it held unread
+    outputs the counter stops one step short and the step that refills
+    the buffer is drawn, leaving the buffer where d draws would leave it.
+    """
+    bg = rng.bit_generator
+    pos = bg.state["buffer_pos"]
+    if pos < 4:
+        bg.advance(d // 4 - 1)
+        bg.random_raw(pos)
+    else:
+        bg.advance(d // 4)
+
+
+def _letter_draws(cum: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF letters: per entry, how many thresholds cum[row, :-1] lie below u.
+
+    ``cum`` holds cumulative pmf rows and ``rows`` (an index array, or a
+    scalar row for every entry) picks one per uniform in ``u``.  The last
+    column is never compared, so a u above a row's rounded total still
+    gives its last letter.  One threshold column at a time, with no
+    (entries, columns) gather.
+    """
+    out = np.zeros(np.shape(u), dtype=np.intp)
+    for col in cum[:, :-1].T:
+        out += u > col.take(rows)
+    return out
+
+
 def _mc_draws(
     code: BlockCode,
     model: WiretapModel | GpModel,
@@ -659,81 +700,100 @@ def _mc_draws(
     t1: int,
     seed: int,
 ):
-    """Yield (m1, m2, mh1, mh2, flat z^n) index arrays per trial block.
+    """Yield (m1, m2, mh1, mh2, flat z^n) index arrays for trials [t0, t1), in order.
 
-    Each fixed-size block of trials draws from its own Philox counter
-    range, so the stream is independent of how callers partition the
-    trial range into calls.
+    Trial block b (MC_BLOCK trials) draws from its own Philox counter range
+    (``_trial_block_rng``), so the stream does not depend on how callers
+    partition the trial range.  Every block draws, in this order, the
+    integers m1, m2, w1, w2 and the uniforms ux (one per trial, the
+    encoder-table row), uz (n per trial, the GP state letters) and uch (n
+    per trial, the channel letters).  A path that does not read ux or uz
+    skips it by counter arithmetic, which leaves uch as it would be.
     """
     n = code.n
-    wiretap = code.side == "wiretap"
-    cb = code.codebook if wiretap else None
-    if wiretap:
-        law_flat = model.law.reshape(model.x_size, -1)  # (x, y1*y2*z)
-        cum_ch = np.cumsum(law_flat, axis=1)
-    else:
-        cum_state = np.cumsum(model.state_dist.mass)
-        law_pair = model.law.reshape(model.x_size * model.z_size, -1)  # (xz, y1*y2)
-        cum_ch = np.cumsum(law_pair, axis=1)
-        enc_cum = np.cumsum(code.encoder_table, axis=-1)
+    cb = code.codebook
+    gp = code.side == "gp"
+    law = model.law  # wiretap (x, y1, y2, z), GP (x, z, y1, y2)
+    cum_ch = np.cumsum(law.reshape(math.prod(law.shape[: 1 + gp]), -1), axis=1)
+    # the letters of each channel cell: (y1, y2, z) triples or (y1, y2) pairs
+    letters = np.unravel_index(np.arange(cum_ch.shape[1]), law.shape[1 + gp :])
+    if cb is None:
+        xf = code.x_size**n
+        enc_cum = np.cumsum(code.encoder_table, axis=-1).reshape(-1, xf)
+    if gp:
+        cum_state = np.cumsum(model.state_dist.mass)[None]
+    z_pow = _seq_powers(code.z_size, n)
     obs_pow = _seq_powers(code.obs1_size, n)
     y2_pow = _seq_powers(code.y2_size, n)
-    z_pow = _seq_powers(code.z_size, n)
     for b0 in range(t0 // MC_BLOCK, (t1 - 1) // MC_BLOCK + 1):
         lo = max(t0, b0 * MC_BLOCK) - b0 * MC_BLOCK
         hi = min(t1, (b0 + 1) * MC_BLOCK) - b0 * MC_BLOCK
-        rng = _trial_block_rng(seed, b0)
-        # fixed draw layout per block, independent of the slice used
-        m1 = rng.integers(0, code.m1_size, MC_BLOCK)
-        m2 = rng.integers(0, code.m2_size, MC_BLOCK)
-        w1 = rng.integers(0, cb.w1_size if wiretap and cb is not None else 1, MC_BLOCK)
-        w2 = rng.integers(0, cb.w2_size if wiretap and cb is not None else 1, MC_BLOCK)
-        ux = rng.random(MC_BLOCK)
-        uz = rng.random((MC_BLOCK, n))
-        uch = rng.random((MC_BLOCK, n))
-        m1 = m1[lo:hi]
-        m2 = m2[lo:hi]
-        w1 = w1[lo:hi]
-        w2 = w2[lo:hi]
-        ux = ux[lo:hi]
-        uz = uz[lo:hi]
-        uch = uch[lo:hi]
-        bsz = hi - lo
-        if bsz <= 0:
+        if hi <= lo:
             continue
-        if wiretap:
-            if cb is not None:
-                xl = cb.outer[m1, w1, m2, w2]  # (b, n) letters
+        rng = _trial_block_rng(seed, b0)
+        m1 = rng.integers(0, code.m1_size, MC_BLOCK)[lo:hi]
+        m2 = rng.integers(0, code.m2_size, MC_BLOCK)[lo:hi]
+        w1 = rng.integers(0, 1 if cb is None else cb.w1_size, MC_BLOCK)[lo:hi]
+        w2 = rng.integers(0, 1 if cb is None else cb.w2_size, MC_BLOCK)[lo:hi]
+        if cb is not None:
+            _skip_uniforms(rng, MC_BLOCK * (n + 1))
+            xl = cb.outer[m1, w1, m2, w2]  # (b, n) letters
+        else:
+            ux = rng.random(MC_BLOCK)[lo:hi]
+            row = m1 * code.m2_size + m2
+            if gp:
+                zl = _letter_draws(cum_state, 0, rng.random((MC_BLOCK, n))[lo:hi])
+                row = row * code.z_size**n + zl @ z_pow
             else:
-                rows = np.cumsum(code.encoder_table[m1, m2], axis=1)
-                xfi = (ux[:, None] > rows[:, :-1]).sum(axis=1)
-                xl = _seq_digits(xfi, code.x_size, n)
-            # per-letter (y1, y2, z) triple via one uniform per position
-            rows = cum_ch[xl]  # (b, n, K)
-            trip = (uch[:, :, None] > rows[:, :, :-1]).sum(axis=2)
-            y2z = trip % (code.y2_size * code.z_size)
-            y1l = trip // (code.y2_size * code.z_size)
-            y2l = y2z // code.z_size
-            zl = y2z % code.z_size
+                _skip_uniforms(rng, MC_BLOCK * n)
+            xl = _seq_digits(_letter_draws(enc_cum, row, ux), code.x_size, n)
+        uch = rng.random((MC_BLOCK, n))[lo:hi]
+        if gp:
+            duo = _letter_draws(cum_ch, xl * code.z_size + zl, uch)
         else:
-            zl = (uz[:, :, None] > cum_state[None, None, :-1]).sum(axis=2)
-            zfi = zl @ z_pow
-            rows = enc_cum[m1, m2, zfi]  # (b, xf)
-            xfi = (ux[:, None] > rows[:, :-1]).sum(axis=1)
-            xl = _seq_digits(xfi, code.x_size, n)
-            pair_idx = xl * code.z_size + zl
-            rows = cum_ch[pair_idx]  # (b, n, y1*y2)
-            duo = (uch[:, :, None] > rows[:, :, :-1]).sum(axis=2)
-            y1l = duo // code.y2_size
-            y2l = duo % code.y2_size
-        if code.informed:
-            obs = (y1l * code.z_size + zl) @ obs_pow
-        else:
-            obs = y1l @ _seq_powers(code.y1_size, n)
-        mh1 = code.dec1[obs]
-        mh2 = code.dec2[y2l @ y2_pow]
+            duo = _letter_draws(cum_ch, xl, uch)
+            zl = letters[2].take(duo)
+        y1l = letters[0].take(duo)
+        obs = y1l * code.z_size + zl if code.informed else y1l
         zfi = zl @ z_pow
-        yield m1, m2, mh1, mh2, zfi
+        yield m1, m2, code.dec1[obs @ obs_pow], code.dec2[letters[1].take(duo) @ y2_pow], zfi
+
+
+def _mc_batches(
+    code: BlockCode,
+    model: WiretapModel | GpModel,
+    edges: Sequence[int],
+    seed: int,
+    views: Sequence[tuple[str, ...]],
+):
+    """Yield, batch by batch, the counts of trials [edges[i], edges[i + 1]) over each view.
+
+    A view names its axes from (m1, m2, mh1, mh2, z), where z is the flat
+    z^n index; every view counts the same draws, so a view that drops
+    axes is the marginal of one that keeps them.  The trial range is
+    walked once: a trial block that straddles a batch edge is drawn once
+    and its trials are split between the two batches.
+    """
+    m1s, m2s = code.m1_size, code.m2_size
+    sizes = {"m1": m1s, "m2": m2s, "mh1": m1s, "mh2": m2s, "z": code.z_size**code.n}
+    draws = _mc_draws(code, model, edges[0], edges[-1], seed)
+    draw: tuple = ()
+    t = edges[0]
+    for end in edges[1:]:
+        counts = [np.zeros([sizes[a] for a in view], dtype=np.int64) for view in views]
+        while t < end:
+            if not draw or not draw[0].size:
+                draw = next(draws)
+            take = min(end - t, draw[0].size)
+            idx = dict(zip(("m1", "m2", "mh1", "mh2", "z"), (a[:take] for a in draw)))
+            draw = tuple(a[take:] for a in draw)
+            t += take
+            for count, view in zip(counts, views):
+                flat = idx[view[0]]
+                for a in view[1:]:
+                    flat = flat * sizes[a] + idx[a]
+                count += np.bincount(flat, minlength=count.size).reshape(count.shape)
+        yield counts
 
 
 def _mc_counts(
@@ -744,23 +804,8 @@ def _mc_counts(
     seed: int,
     views: Sequence[tuple[str, ...]],
 ) -> list[np.ndarray]:
-    """Trial counts of trials [t0, t1) over each requested view.
-
-    A view names its axes from (m1, m2, mh1, mh2, z), where z is the flat
-    z^n index; every view counts the same draws, so a view that drops
-    axes is the marginal of one that keeps them.
-    """
-    m1s, m2s = code.m1_size, code.m2_size
-    sizes = {"m1": m1s, "m2": m2s, "mh1": m1s, "mh2": m2s, "z": code.z_size**code.n}
-    counts = [np.zeros([sizes[a] for a in view], dtype=np.int64) for view in views]
-    for draw in _mc_draws(code, model, t0, t1, seed):
-        idx = dict(zip(("m1", "m2", "mh1", "mh2", "z"), draw))
-        for count, view in zip(counts, views):
-            flat = idx[view[0]]
-            for a in view[1:]:
-                flat = flat * sizes[a] + idx[a]
-            count += np.bincount(flat, minlength=count.size).reshape(count.shape)
-    return counts
+    """Trial counts of trials [t0, t1) over each requested view (see ``_mc_batches``)."""
+    return next(_mc_batches(code, model, (t0, t1), seed, views))
 
 
 def induced_joint(
@@ -1187,11 +1232,10 @@ def simulate_trend(
         sec_total = None
         pe_batches = []
         sec_batches = []
-        for b in range(params.batches):
-            rel, sec = _mc_counts(
-                code, model, b * per, (b + 1) * per, params.seed,
-                [("m1", "m2", "mh1", "mh2"), ("m1", "m2", "z")],
-            )
+        for rel, sec in _mc_batches(
+            code, model, range(0, trials + 1, per), params.seed,
+            [("m1", "m2", "mh1", "mh2"), ("m1", "m2", "z")],
+        ):
             pe_batches.append(error_probability(_ij(axes[:4], rel, rel.shape, per)))
             sec_batches.append(
                 effective_secrecy(_ij(axes[:2] + axes[4:], sec, sec_shape, per), q_z).total

@@ -44,6 +44,15 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             WiretapModel(law=law)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_law_entry(self, bad):
+        law = np.einsum("xa,xb,xc->xabc", bsc(0.1), bsc(0.3), bsc(0.25))
+        law[1, 0, 1, 0] = bad
+        with pytest.raises(ValueError, match=r"wiretap law has a non-finite entry at cell \(1, 0, 1, 0\)"):
+            WiretapModel(law=law)
+        with pytest.raises(ValueError, match="gp law has a non-finite entry"):
+            GpModel(state_dist=FinitePmf([0.5, 0.5]), law=np.moveaxis(law, 3, 1))
+
     def test_gp_state_alphabet(self):
         law = np.full((2, 2, 2, 1), 0.5)
         with pytest.raises(ShapeError):

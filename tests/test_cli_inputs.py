@@ -5,7 +5,8 @@ domain: each run exits 5 with one ``channel-format`` error naming the key
 on stderr, and nothing on stdout.  The least value of every key passes
 the checks, malformed ``--qz`` files exit 5, and a ``--qz`` or ``p_ux``
 pmf that does not sum to 1 exits 6.  Channel documents round-trip
-through ``model_to_dict`` and ``model_from_dict``.
+through ``model_to_dict`` and ``model_from_dict``, and a channel document
+with a malformed field exits 5 naming the field.
 """
 
 import contextlib
@@ -357,3 +358,65 @@ def test_channel_documents_round_trip(model):
         np.testing.assert_allclose(
             back.state_dist.mass, model.state_dist.mass, rtol=4 * np.finfo(float).eps, atol=0
         )
+
+
+def set_law_entry(value):
+    def mutate(doc):
+        doc["law"][0][0][0][0] = value
+    return mutate
+
+
+def set_field(key, value, *path):
+    def mutate(doc):
+        node = doc
+        for p in path:
+            node = node[p]
+        node[key] = value
+    return mutate
+
+
+# (document kind, mutation, field the message must name)
+MALFORMED_CHANNELS = [
+    *[("wiretap", set_law_entry(v), "law") for v in (math.nan, math.inf, None, "0.5", True, 10**400)],
+    *[("gp", set_law_entry(v), "law") for v in (math.nan, -math.inf)],
+    ("gp", set_field(0, math.nan, "state_dist"), "state_dist"),
+    ("gp", set_field(0, "0.5", "state_dist"), "state_dist"),
+    *[
+        (kind, set_field("informed_receiver", v), "informed_receiver")
+        for kind in ("wiretap", "gp")
+        for v in ("no", 1, None)
+    ],
+    *[
+        (kind, set_field("coop_capacity", v), "coop_capacity")
+        for kind in ("wiretap", "gp")
+        for v in ("abc", -1, math.nan, math.inf, True, 10**400, [1])
+    ],
+    *[("wiretap", set_field("y1", v, "alphabets"), "'y1'") for v in ("2", 2.0, True, 0)],
+    *[
+        ("gp", set_field("filled_cells", v), "filled_cells")
+        for v in ("x", [[0]], [[2, 0]], [[0, 2]], [[0.0, 1]], [[-1, 0]], [[0, True]])
+    ],
+]
+
+
+@pytest.mark.parametrize("kind, mutate, field", MALFORMED_CHANNELS)
+def test_malformed_channel_field_is_refused(tmp_path, kind, mutate, field):
+    model = WiretapModel(law=np.einsum("xa,xc->xac", bsc(0.1), bsc(0.25))[:, :, None, :])
+    doc = model_to_dict(model if kind == "wiretap" else analogous_gpbc(model))
+    mutate(doc)
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(doc))
+    assert field in refused(*run("transform", "--channel", path), "channel-format")
+
+
+@pytest.mark.parametrize("field, value", [("informed_receiver", "no"), ("coop_capacity", "abc")])
+def test_nan_channel_with_mistyped_field_is_refused(tmp_path, field, value):
+    # a 2 x 2 x 1 x 1 wiretap law holding one NaN
+    doc = model_to_dict(WiretapModel(law=bsc(0.1)[:, :, None, None]))
+    doc["law"][1][0][0][0] = math.nan
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(doc))
+    assert "law" in refused(*run("transform", "--channel", path), "channel-format")
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    assert field in refused(*run("transform", "--channel", path), "channel-format")

@@ -13,7 +13,17 @@ Every exactly-enumerated code run must satisfy, at the tolerances that
 Wiretap codes are explicit encoder tables with random decode tables on
 random laws with zero cells; GP codes are ``random_gp_code`` draws on the
 analogous model of such a law, informed and not.
+
+The same codes check the Monte Carlo path against exact enumeration: the
+(m1, m2, mh1, mh2, z^n) view counted over T trials is within total
+variation 0.5 * sqrt(cells / T) + 0.02 of the exact view.  The first term
+bounds the expected TV (each cell's mean absolute error is at most
+sqrt(p / T), and the sum of sqrt(p) over the cells is at most
+sqrt(cells)); one trial moves the TV by at most 1 / T, so the chance of
+exceeding the expectation by 0.02 is below exp(-2 * 0.02**2 * T).
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,6 +31,7 @@ from hypothesis import strategies as st
 
 from wtgp.channels import WiretapModel, analogous_gpbc, default_state_dist
 from wtgp.codes import (
+    _estimate_view,
     error_probability,
     gp_collapse_residual,
     induced_joint,
@@ -29,10 +40,13 @@ from wtgp.codes import (
     secrecy_identity_residual,
     wiretap_code_from_tables,
 )
+from wtgp.divergence import total_variation
 from wtgp.pmf import FinitePmf
 
 # derandomized, so that the suite draws the same examples on every run
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+MC_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+MC_TRIALS = 50_000
 
 
 def sparse_rows(rng, rows, size, zero_share):
@@ -99,3 +113,24 @@ def test_wiretap_code_identities(case):
 def test_gp_code_identities(case):
     code, gp_model = case
     assert_run_identities(code, gp_model, gp_model.state_dist)
+
+
+def assert_mc_approaches_exact(code, model, seed):
+    exact = _estimate_view(induced_joint(code, model), with_z=True)
+    mc = _estimate_view(induced_joint(code, model, mode="mc", trials=MC_TRIALS, seed=seed), True)
+    assert mc.axes == exact.axes
+    bound = 0.5 * math.sqrt(exact.mass.size / MC_TRIALS) + 0.02
+    assert total_variation(mc, exact) <= bound
+
+
+@MC_PROPERTY
+@given(wiretap_cases(), st.integers(0, 2**64 - 1))
+def test_wiretap_mc_joint_approaches_exact(case, seed):
+    code, model, _ = case
+    assert_mc_approaches_exact(code, model, seed)
+
+
+@MC_PROPERTY
+@given(gp_cases(), st.integers(0, 2**64 - 1))
+def test_gp_mc_joint_approaches_exact(case, seed):
+    assert_mc_approaches_exact(*case, seed)

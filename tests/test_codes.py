@@ -1,6 +1,7 @@
 """Block codes: codebooks, decode tables, induced joints, and the converse."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -11,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wtgp
 from wtgp import codes
@@ -412,6 +415,22 @@ def random_decoders(code, seed):
     )
 
 
+def stream_fixture(kind):
+    """A code of each Monte Carlo path and its model, all at n = 3."""
+    if kind == "codebook":
+        return make_code(model=product_model(informed_receiver=True), n=3)
+    if kind == "table":
+        model = product_model()
+        rng = np.random.default_rng(4)
+        enc = rng.dirichlet(np.ones(8), size=(2, 2))
+        enc[0, 1, 2] = 0.0  # a zero branch
+        enc[0, 1] /= enc[0, 1].sum()
+        dec = rng.integers(0, 2, 8), rng.integers(0, 2, 8)
+        return wiretap_code_from_tables(model, 3, enc, *dec), model
+    gp_model = analogous_gpbc(pp_model(informed_receiver=True), FinitePmf([0.3, 0.7]))
+    return random_gp_code(gp_model, 3, 3, seed=6), gp_model
+
+
 class TestExactReference:
     """induced_joint(mode="exact") against the brute-force loops, cell by cell."""
 
@@ -512,6 +531,82 @@ class TestMonteCarlo:
         )
         np.testing.assert_array_equal(rel, full.sum(axis=4))
         np.testing.assert_array_equal(sec, full.sum(axis=(2, 3)))
+
+    def test_batches_match_separate_calls(self):
+        code, model = make_code()
+        edges = (0, 2500, 6000, 6001, 9000)
+        batches = list(codes._mc_batches(code, model, edges, 11, [FULL_VIEW, ("m1", "z")]))
+        assert len(batches) == 4
+        for (lo, hi), got in zip(zip(edges[:-1], edges[1:]), batches):
+            want = _mc_counts(code, model, lo, hi, 11, [FULL_VIEW, ("m1", "z")])
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    def test_each_trial_block_is_drawn_once(self, monkeypatch):
+        # 10 batches of 2000 trials straddle 4 of the 5 blocks of 4096
+        blocks = []
+        draw_block = codes._trial_block_rng
+
+        def counted(seed, block):
+            blocks.append(block)
+            return draw_block(seed, block)
+
+        monkeypatch.setattr(codes, "_trial_block_rng", counted)
+        rows = simulate_trend(
+            product_model(), correlated_ux(), CodeRates(r1=0.5, r2=0.5, rt1=0.5, rt2=0.5),
+            SimParams(n_list=(2,), eps=0.3, trials=20_000, batches=10),
+        )
+        assert rows[0]["trials"] == 20_000
+        assert blocks == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("kind", ["codebook", "table", "gp"])
+    @pytest.mark.parametrize("t0, t1", [(0, 6000), (2500, 9000)])
+    def test_stream_is_pinned(self, kind, t0, t1):
+        # sha256 prefixes of the little-endian int64 full-view counts: the
+        # block keys, the draw order, the skipped uniforms and every letter
+        # decision are part of the stream, so any change to them shows here
+        pins = {
+            ("codebook", 0): "0f4210b9a8f9d3c1",
+            ("codebook", 2500): "0216ed9ddf311b59",
+            ("table", 0): "7f50a7e40b3cc21a",
+            ("table", 2500): "afd0ccebfa3bc6c6",
+            ("gp", 0): "2d24d80efd863009",
+            ("gp", 2500): "cca54fa68c506666",
+        }
+        code, model = stream_fixture(kind)
+        (counts,) = _mc_counts(code, model, t0, t1, 11, [FULL_VIEW])
+        assert counts.sum() == t1 - t0
+        digest = hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()[:16]
+        assert digest == pins[kind, t0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        calls=st.lists(
+            st.tuples(st.integers(0, 9), st.sampled_from([1, 2, 3, 7, 1 << 31, 1 << 40])),
+            max_size=4,
+        ),
+        empty_buffer=st.booleans(),
+        steps=st.integers(1, 3000),
+    )
+    def test_skipped_uniforms_match_drawn_ones(self, seed, calls, empty_buffer, steps):
+        def start():
+            rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+            for size, high in calls:
+                rng.integers(0, high, size)
+            if empty_buffer:  # an unread buffer at position 0
+                state = rng.bit_generator.state
+                state["buffer_pos"] = 0
+                rng.bit_generator.state = state
+            return rng
+
+        drawn, skipped = start(), start()
+        drawn.random(4 * steps)
+        codes._skip_uniforms(skipped, 4 * steps)
+        got, want = skipped.bit_generator.state, drawn.bit_generator.state
+        assert got["buffer_pos"] == want["buffer_pos"]
+        np.testing.assert_array_equal(got["state"]["counter"], want["state"]["counter"])
+        np.testing.assert_array_equal(skipped.random(9), drawn.random(9))
 
     def test_mc_joint_approaches_exact(self):
         from wtgp.divergence import total_variation
@@ -769,3 +864,19 @@ def test_block_code_side_validation():
             dec2=np.zeros(1, dtype=np.int64),
             encoder_table=np.full((1, 1, 2), 0.5),
         )
+
+
+def test_sequence_indices_refuse_int64_overflow():
+    # 2**63 sequences of 63 bits still have int64 flat indices
+    assert codes._seq_powers(2, 63)[0] == 1 << 62
+    assert codes._seq_index(np.ones((1, 63), dtype=np.int64), 2)[0] == (1 << 63) - 1
+    assert codes._seq_digits(np.array([(1 << 63) - 1]), 2, 63).sum() == 63
+    assert codes._seq_powers(1, 200).tolist() == [1] * 200
+    for call in (
+        lambda: codes._seq_powers(2, 64),
+        lambda: codes._seq_index(np.ones((1, 40), dtype=np.int64), 3),
+        lambda: codes._seq_digits(np.array([5]), 3, 40),
+        lambda: codes._seq_powers(7, 10**9),
+    ):
+        with pytest.raises(ResourceError, match="overflow int64 flat indices"):
+            call()
