@@ -330,7 +330,7 @@ def _load_rows(raw, shape, what: str) -> np.ndarray:
     return arr
 
 
-def _is_int(v, least: int) -> bool:
+def _is_int(v, least: int = 1) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= least
 
 

@@ -29,6 +29,8 @@ import numpy as np
 from .channels import (
     GpModel,
     WiretapModel,
+    _is_finite,
+    _is_int,
     analogous_gpbc,
     default_state_dist,
     load_model,
@@ -94,16 +96,8 @@ def _read_json(path: str, what: str):
         raise ChannelFormatError(f"cannot read {what} {path} as JSON: {exc}") from None
 
 
-def _is_int(v, least: int = 1) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= least
-
-
 def _is_number(v) -> bool:
-    return (
-        isinstance(v, (int, float))
-        and not isinstance(v, bool)
-        and 0 <= v <= sys.float_info.max
-    )
+    return _is_finite(v) and v >= 0
 
 
 def _is_vector(v) -> bool:

@@ -118,6 +118,23 @@ def _seq_power(law: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _seq_power_rows(law: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
+    """``_seq_power(law, n)[rows]``, built over the first-axis sequences ``rows`` only.
+
+    Each row multiplies its letters first letter first, as ``_seq_power``
+    does, so every cell is bitwise the same.
+    """
+    law = np.asarray(law, dtype=np.float64)
+    digits = _seq_digits(rows, law.shape[0], n)  # (r, n)
+    r, rest = digits.shape[0], law.shape[1:]
+    out = law[digits[:, 0]]
+    for i in range(1, n):
+        prefix = out.reshape([r] + [s for d in out.shape[1:] for s in (d, 1)])
+        letter = law[digits[:, i]].reshape([r] + [s for d in rest for s in (1, d)])
+        out = (prefix * letter).reshape([r] + [a * b for a, b in zip(out.shape[1:], rest)])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # code objects
 # ---------------------------------------------------------------------------
@@ -603,9 +620,10 @@ def _exact_joint(code: BlockCode, model: WiretapModel | GpModel, budget: int) ->
     The wiretap weight is unif x the encoder kernel, the same for every
     z^n, and the kernel is the n-letter power of the channel law.  The GP
     weight is (unif x q_Z^n) x the encoder table, and the kernel is the
-    power of the state-dependent law with z moved last.  Only nonzero
-    branches are written, which leaves the pages of the other branches
-    untouched.
+    power of the state-dependent law with z moved last, taken only over
+    the x^n rows of nonzero branches.  Only nonzero branches are written,
+    which leaves the pages of the other branches untouched, and the joint
+    adopts the array instead of copying it, so those pages stay unmapped.
     """
     n = code.n
     m1s, m2s = code.m1_size, code.m2_size
@@ -615,14 +633,17 @@ def _exact_joint(code: BlockCode, model: WiretapModel | GpModel, budget: int) ->
     if code.side == "gp":
         base = unif * _seq_power(model.state_dist.mass, n)  # (zf,)
         weight = np.moveaxis(base[:, None] * code.encoder_table, 2, 3)
-        kernel = _seq_power(np.moveaxis(model.law, 1, -1), n)
+        law = np.moveaxis(model.law, 1, -1)
     else:
         weight = np.broadcast_to((unif * encoder_kernel(code))[..., None], (m1s, m2s, xf, zf))
-        kernel = _seq_power(model.law, n)
+        law = model.law
     b1, b2, bx, bz = np.nonzero(weight)
+    rows, row_of = np.unique(bx, return_inverse=True)
+    terms = _seq_power_rows(law, n, rows)[row_of, :, :, bz]
+    terms *= weight[b1, b2, bx, bz][:, None, None]
     out = np.zeros((m1s, m2s, xf, y1f, y2f, zf))
-    out[b1, b2, bx, :, :, bz] = weight[b1, b2, bx, bz][:, None, None] * kernel[bx, :, :, bz]
-    return JointPmf(_full_axes(code), out)
+    out[b1, b2, bx, :, :, bz] = terms
+    return JointPmf._adopt(_full_axes(code), out)
 
 
 def _estimate_view(ij: InducedJoint, with_z: bool) -> JointPmf:
@@ -647,7 +668,7 @@ def _estimate_view(ij: InducedJoint, with_z: bool) -> JointPmf:
     blocks = j.mass.reshape(m1s * m2s, -1)
     flat = np.tile(est.reshape(-1), blocks.shape[1] // est.size)
     view = np.stack([np.bincount(flat, weights=b, minlength=m1s * m2s * kept) for b in blocks])
-    return JointPmf(_secrecy_axes(m1s, m2s, j.axis_size("z1"), ij.n if with_z else 0), view)
+    return JointPmf._adopt(_secrecy_axes(m1s, m2s, j.axis_size("z1"), ij.n if with_z else 0), view)
 
 
 def _secrecy_axes(m1s: int, m2s: int, zs: int, n: int) -> list[Axis]:
@@ -856,7 +877,7 @@ def induced_joint(
     (counts,) = _mc_counts(code, model, 0, int(trials), seed, [("m1", "m2", "mh1", "mh2", "z")])
     mass = (counts / float(trials)).reshape([ax.size for ax in axes])
     return InducedJoint(
-        joint=JointPmf(axes, mass),
+        joint=JointPmf._adopt(axes, mass),
         side=code.side,
         n=n,
         mode="mc",
@@ -889,7 +910,7 @@ def _message_target(ij: InducedJoint, q_z: FinitePmf | None) -> JointPmf:
     for a in range(m1s):
         for b in range(m2s):
             mass[a, b, a, b] = unif * qzn
-    return JointPmf(axes, mass)
+    return JointPmf._adopt(axes, mass)
 
 
 def _error_terms(ij: InducedJoint) -> tuple[float, JointPmf]:
@@ -1217,7 +1238,7 @@ def simulate_trend(
 
         def _ij(mass_axes, counts: np.ndarray, shape, m: int) -> InducedJoint:
             return InducedJoint(
-                joint=JointPmf(mass_axes, counts.reshape(shape) / float(m)),
+                joint=JointPmf._adopt(mass_axes, counts.reshape(shape) / float(m)),
                 side="wiretap",
                 n=int(n),
                 mode="mc",

@@ -39,6 +39,9 @@ Dist = Union[FinitePmf, JointPmf]
 
 MI_CONTINUITY_EPS_MAX = 2.0 ** (-1.0 / math.log(2.0))
 
+# cells per block of the total-variation sums
+TV_BLOCK = 1 << 18
+
 
 def _pair_masses(p: Dist, q: Dist) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(p, FinitePmf) and isinstance(q, FinitePmf):
@@ -54,11 +57,20 @@ def _pair_masses(p: Dist, q: Dist) -> tuple[np.ndarray, np.ndarray]:
 
 def total_variation(p: Dist, q: Dist) -> float:
     pm, qm = _pair_masses(p, q)
-    diff = pm - qm
-    # one-sided form max_A (p(A) - q(A)) must agree with the half-L1 form;
-    # both reuse the difference buffer, taken last in place as |diff|
-    one_sided = float(diff.sum(where=diff > 0))
-    tv = 0.5 * float(np.abs(diff, out=diff).sum())
+    pm, qm = pm.reshape(-1), qm.reshape(-1)
+    # flat blocks of at most TV_BLOCK cells bound the difference buffer;
+    # math.fsum adds the block partials exactly, so the sums do not
+    # accumulate rounding across blocks
+    diff = np.empty(min(pm.size, TV_BLOCK))
+    pos, l1 = [], []
+    for start in range(0, pm.size, TV_BLOCK):
+        stop = min(start + TV_BLOCK, pm.size)
+        d = np.subtract(pm[start:stop], qm[start:stop], out=diff[: stop - start])
+        pos.append(float(d.sum(where=d > 0)))
+        l1.append(float(np.abs(d, out=d).sum()))
+    # one-sided form max_A (p(A) - q(A)) must agree with the half-L1 form
+    one_sided = math.fsum(pos)
+    tv = 0.5 * math.fsum(l1)
     residual = abs(tv - one_sided)
     if not residual <= 1e-12:
         raise NumericalError(

@@ -47,25 +47,31 @@ class Axis:
         object.__setattr__(self, "size", int(self.size))
 
 
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as C-ordered float64, read-only; copied only if its layout needs it."""
     out = np.ascontiguousarray(arr, dtype=np.float64)
-    if out is arr:
-        out = out.copy()
     out.setflags(write=False)
     return out
+
+
+def _as_readonly(arr) -> np.ndarray:
+    """A read-only C-ordered float64 copy, so the caller's array stays its own."""
+    return _freeze(np.array(arr, dtype=np.float64, order="C"))
 
 
 def _validate_mass(mass: np.ndarray, what: str) -> None:
     if mass.size == 0:
         raise ValueError(f"{what} must have at least one cell")
-    neg = mass < 0.0
-    if neg.any():
+    # min() reduces without a cell-sized mask; the cell is located only on failure
+    if mass.min() < 0.0:
+        neg = mass < 0.0
         idx = tuple(int(i) for i in np.argwhere(neg)[0])
         raise ValueError(
             f"{what} has a negative entry {mass[neg][0]!r} at cell {idx}"
         )
     total = float(mass.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    # written so that a NaN total fails too
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
         raise ValueError(
             f"{what} sums to {total!r}, outside tolerance {NORMALIZATION_TOL}"
         )
@@ -112,6 +118,21 @@ class JointPmf:
     __slots__ = ("axes", "mass")
 
     def __init__(self, axes: Sequence[Axis], mass) -> None:
+        self._store(axes, _as_readonly(mass))
+
+    @classmethod
+    def _adopt(cls, axes: Sequence[Axis], mass: np.ndarray) -> "JointPmf":
+        """A pmf that takes ``mass`` as its storage instead of copying it.
+
+        Only for arrays this package has just built and holds no other
+        reference to: ``mass`` is validated like any input and marked
+        read-only in place.
+        """
+        pmf = object.__new__(cls)
+        pmf._store(axes, mass)
+        return pmf
+
+    def _store(self, axes: Sequence[Axis], mass: np.ndarray) -> None:
         axes = tuple(
             ax if isinstance(ax, Axis) else Axis(str(ax[0]), int(ax[1]))
             for ax in axes
@@ -128,7 +149,7 @@ class JointPmf:
                 raise ShapeError(
                     f"mass shape {arr.shape} does not match axes {shape}"
                 )
-        arr = _as_readonly(arr)
+        arr = _freeze(arr)
         _validate_mass(arr, "joint pmf")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "mass", arr)
@@ -172,7 +193,8 @@ class JointPmf:
             i for i, ax in enumerate(self.axes) if ax.name not in keep
         )
         kept_axes = [ax for ax in self.axes if ax.name in keep]
-        return JointPmf(kept_axes, self.mass.sum(axis=drop) if drop else self.mass)
+        # a fresh sum is adopted; with nothing dropped the read-only mass is shared
+        return JointPmf._adopt(kept_axes, self.mass.sum(axis=drop) if drop else self.mass)
 
     def single(self, name: str) -> FinitePmf:
         """One-axis marginal as a FinitePmf."""
@@ -255,7 +277,8 @@ class StochasticKernel:
             bad = np.argwhere(flat < 0.0)[0]
             raise ValueError(f"kernel has a negative entry at flat cell {tuple(bad)}")
         sums = flat.sum(axis=1)
-        off = np.abs(sums - 1.0) > NORMALIZATION_TOL
+        # written so that a NaN row sum fails too
+        off = ~(np.abs(sums - 1.0) <= NORMALIZATION_TOL)
         if off.any():
             i = int(np.flatnonzero(off)[0])
             in_shape = tuple(ax.size for ax in input_axes)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wtgp
-from wtgp import codes
+from wtgp import codes, divergence
 from wtgp.channels import WiretapModel, analogous_gpbc, default_state_dist
 from wtgp.codes import (
     BlockCode,
@@ -341,6 +341,88 @@ class TestInducedJointExact:
         ij = induced_joint(code, model, budget=256)
         assert ij.joint.mass.size == 256
         assert abs(float(ij.joint.mass.sum()) - 1.0) <= 1e-12
+
+
+def traced_peak(call):
+    """(result, peak bytes numpy and Python allocated while ``call`` ran)."""
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def sparse_n5_code():
+    # the exact benchmark's shape: 8 codewords among 32 x^5 rows, so the
+    # written branches fill a sixteenth of the 2^22-cell (32 MiB) joint
+    cb = sample_codebook(correlated_ux(), 5, CodeRates(r1=0.2, r2=0.2, rt1=0.2), 3)
+    model = product_model()
+    return superposition_code(cb, model, 0.5), model
+
+
+class TestExactMemory:
+    def test_exact_joint_is_allocated_once(self):
+        code, model = sparse_n5_code()
+        ij, peak = traced_peak(lambda: induced_joint(code, model))
+        joint = ij.joint.mass.nbytes
+        assert joint == 1 << 25
+        # the joint, plus the buffer of its written branches
+        assert peak <= joint + joint // 8
+
+    def test_collapse_holds_two_joints_and_one_tv_block(self):
+        code, model = sparse_n5_code()
+        _, peak = traced_peak(lambda: gp_collapse_residual(code, model))
+        # two joints, one block's difference buffer and sign mask, and
+        # 1 MiB for the branch buffers, decode maps and encoder tables
+        assert peak <= 2 * (1 << 25) + 9 * divergence.TV_BLOCK + (1 << 20)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak from /proc/self/status")
+    def test_one_codeword_code_maps_only_its_branch(self):
+        # one codeword at n = 4 on a 4 x 4 x 1 x 4 law: the joint has 4^12
+        # cells (128 MiB), of which the one branch writes 4^8; the process
+        # peak stays below the joint's own size, so the unwritten pages are
+        # never mapped and no channel power over all 4^4 x^n rows is built.
+        # The peak is VmHWM (KiB): ru_maxrss would carry the forking test
+        # process's own peak across exec
+        script = (
+            "import numpy as np\n"
+            "from wtgp.channels import WiretapModel\n"
+            "from wtgp.codes import induced_joint, wiretap_code_from_tables\n"
+            "law = np.random.default_rng(0).dirichlet(np.ones(16), size=4).reshape(4, 4, 1, 4)\n"
+            "model = WiretapModel(law=law)\n"
+            "enc = np.zeros((1, 1, 256))\n"
+            "enc[0, 0, 37] = 1.0\n"
+            "code = wiretap_code_from_tables(model, 4, enc, np.zeros(256, dtype=np.int64), np.zeros(1, dtype=np.int64))\n"
+            "ij = induced_joint(code, model)\n"
+            "assert ij.joint.mass.nbytes == 1 << 27\n"
+            "print(next(ln.split()[1] for ln in open('/proc/self/status') if ln.startswith('VmHWM:')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(wtgp.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        assert int(out.stdout) < 96 * 1024
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(*(st.integers(1, 3) for _ in range(4))),
+        n=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_row_power_is_bitwise_the_full_power(self, shape, n, seed, data):
+        rng = np.random.default_rng(seed)
+        law = rng.dirichlet(np.ones(math.prod(shape[1:])), size=shape[0])
+        law = (law * (rng.random(law.shape) < 0.6)).reshape(shape)
+        rows = np.array(
+            data.draw(st.lists(st.integers(0, shape[0] ** n - 1), min_size=1, max_size=12)),
+            dtype=np.int64,
+        )
+        full = codes._seq_power(law, n)
+        got = codes._seq_power_rows(law, n, rows)
+        assert got.shape == (rows.size,) + full.shape[1:]
+        assert got.tobytes() == full[rows].tobytes()
 
 
 FULL_VIEW = ("m1", "m2", "mh1", "mh2", "z")

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from wtgp import divergence
 from wtgp.divergence import (
     MI_CONTINUITY_EPS_MAX,
     conditional_entropy,
@@ -104,6 +105,23 @@ class TestTotalVariation:
             tracemalloc.stop()
         assert tv == half_l1
         assert peak <= 1.25 * p.mass.nbytes
+
+    @pytest.mark.parametrize("block", [1, 5, 7, 64])
+    def test_blocks_agree_with_one_block(self, monkeypatch, block):
+        # blocks of 5 and 7 cells straddle the edges of every axis of the
+        # (3, 4, 6) joints; q is stored in another axis order, so it is
+        # aligned before the blocks are cut
+        rng = np.random.default_rng(21)
+        axes = [Axis("a", 3), Axis("b", 4), Axis("c", 6)]
+        for _ in range(50):
+            pm = rng.dirichlet(np.ones(72)) * (rng.random(72) < 0.7)
+            p = JointPmf(axes, pm / pm.sum())
+            q = JointPmf(axes, rng.dirichlet(np.ones(72))).reordered(["c", "a", "b"])
+            whole = total_variation(p, q)  # 72 cells, one block
+            with monkeypatch.context() as m:
+                m.setattr(divergence, "TV_BLOCK", block)
+                blocked = total_variation(p, q)
+            assert abs(blocked - whole) <= 1e-15
 
 
 class TestRelativeEntropy:

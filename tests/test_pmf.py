@@ -43,6 +43,10 @@ class TestFinitePmf:
         with pytest.raises((AttributeError, ValueError)):
             p.mass[0] = 0.3
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="sums to nan"):
+            FinitePmf([np.nan, 1.0])
+
 
 class TestJointPmf:
     def test_duplicate_axis_names_rejected(self):
@@ -52,6 +56,25 @@ class TestJointPmf:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             JointPmf([Axis("x", 2), Axis("y", 3)], np.full((2, 2), 0.25))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="sums to nan"):
+            JointPmf([Axis("a", 2)], [np.nan, 0.5])
+
+    def test_constructor_copies_the_callers_array(self):
+        mass = np.full((2, 2), 0.25)
+        j = JointPmf([Axis("x", 2), Axis("y", 2)], mass)
+        mass[0, 0] = 0.7
+        np.testing.assert_array_equal(j.mass, np.full((2, 2), 0.25))
+        assert mass.flags.writeable
+
+    def test_adopt_takes_the_array_read_only(self):
+        mass = np.full((2, 2), 0.25)
+        j = JointPmf._adopt([Axis("x", 2), Axis("y", 2)], mass)
+        assert np.shares_memory(j.mass, mass)
+        assert not mass.flags.writeable
+        with pytest.raises(ValueError, match="negative entry"):
+            JointPmf._adopt([Axis("x", 2)], np.array([1.5, -0.5]))
 
     def test_marginalize_full_set_is_identity(self):
         rng = np.random.default_rng(0)
@@ -140,6 +163,10 @@ class TestStochasticKernel:
     def test_negative_entry(self):
         with pytest.raises(ValueError):
             StochasticKernel([Axis("x", 1)], [Axis("y", 2)], [[1.5, -0.5]])
+
+    def test_nan_row(self):
+        with pytest.raises(ValueError, match=r"row \(1,\) sums to .*nan"):
+            StochasticKernel([Axis("x", 2)], [Axis("y", 2)], [[0.5, 0.5], [np.nan, 1.0]])
 
 
 class TestIidExtension:
