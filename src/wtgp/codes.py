@@ -12,11 +12,12 @@ enters the exact error probabilities.  When the model is
 informed-receiver, receiver 1's observation letters are (y1, z) pairs
 encoded as y1 * |Z| + z.
 
-``induced_joint`` materializes the joint of one code run, either by
-exact enumeration or by Monte Carlo over a counter-based Philox stream
-keyed by (seed, trial block), which makes trial blocks order-independent.
-Exact enumeration is one product for both sides over (m1, m2, x^n, y1^n,
-y2^n, z^n): weight(m1, m2, x^n, z^n) x kernel(x^n -> y1^n, y2^n, z^n).
+``induced_joint`` gives the joint of one code run, either by exact
+enumeration or by Monte Carlo over a counter-based Philox stream keyed by
+(seed, trial block), which makes trial blocks order-independent.  Exact
+enumeration is one product for both sides over (m1, m2, x^n, y1^n, y2^n,
+z^n): weight(m1, m2, x^n, z^n) x kernel(x^n -> y1^n, y2^n, z^n), and
+each exact metric contracts it to its own marginal without building it.
 A wiretap code's weight is unif x its encoder kernel and its kernel the
 n-letter power of the channel law; a GP code's weight is (unif x q_Z^n) x
 its encoder table and its kernel the power of the state-dependent law.
@@ -24,9 +25,9 @@ From (m, z^n) on, a wiretap code and the GP code it induces share that
 kernel and the decoders.  The estimates (mh1, mh2) are functions of
 (y1^n, z^n) and y2^n, so an exact run carries the decode maps instead of
 estimate axes; Monte Carlo counts the (m1, m2, mh1, mh2, z^n) view.  One
-``budget`` caps the cells either mode allocates.  Exact joints support
-three identities used as test anchors and CLI diagnostics, and a gap
-beyond rounding raises ``NumericalError``:
+``budget`` caps the cells of the full joint or of the view.  Exact runs
+support three identities used as test anchors and CLI diagnostics, and a
+gap beyond rounding raises ``NumericalError``:
 
 * error probability equals the total variation between the (M, Mh)
   marginal and uniform-messages-correctly-decoded;
@@ -52,7 +53,9 @@ from typing import Sequence
 import numpy as np
 
 from .channels import GpModel, WiretapModel, analogous_gpbc, default_state_dist
+from . import divergence
 from .divergence import (
+    blocked_total_variation,
     is_typical,
     mutual_information,
     relative_entropy,
@@ -66,6 +69,8 @@ DEFAULT_TABLE_BUDGET = 1 << 20
 MC_BLOCK = 4096
 # float32 holds every integer up to 2**24 exactly
 _F32_EXACT = 1 << 24
+# power cells an exact marginal builds at a time (one row when rows are larger)
+_POWER_CELLS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +464,8 @@ def wiretap_code_from_tables(
     enc = np.asarray(encoder_table, dtype=np.float64)
     if enc.ndim != 3 or enc.shape[2] != model.x_size**n:
         raise ShapeError("encoder table must be (m1, m2, x_size**n)")
-    if np.abs(enc.sum(axis=2) - 1.0).max() > 1e-9 or (enc < 0).any():
+    # written so that a NaN row sum fails too
+    if not (np.abs(enc.sum(axis=2) - 1.0) <= 1e-9).all() or (enc < 0).any():
         raise ValueError("encoder rows must be pmfs")
     m1s, m2s = enc.shape[0], enc.shape[1]
     return BlockCode(
@@ -563,24 +569,59 @@ def typicality_decode(
 
 
 @dataclasses.dataclass(frozen=True)
+class _ExactRun:
+    """Every run of one code as weight(m, x^n, z^n) x kernel(x^n -> y1^n, y2^n, z^n).
+
+    m is the flat (m1, m2) message index.  ``law`` is the per-letter
+    kernel over (x, y1, y2, z), whose n-letter power is the run's kernel;
+    ``live`` marks the (m, x^n) rows that carry a nonzero branch, and
+    ``dec1`` gives mh1 per (flat y1^n, flat z^n).
+    """
+
+    code: BlockCode
+    weight: np.ndarray  # (m, x^n, z^n)
+    law: np.ndarray
+    live: np.ndarray  # (m, x^n) bool
+    dec1: np.ndarray  # (y1^n, z^n)
+
+
 class InducedJoint:
     """Distribution induced by one code run, with provenance.
 
-    Exact mode stores (m1, m2, x1.., y1_1.., y2_1.., z1..) and the decode
-    maps beside it: ``dec1`` gives mh1 per (flat y1^n, flat z^n) and
-    ``dec2`` mh2 per flat y2^n.  Monte Carlo stores the (m1, m2, mh1, mh2,
-    z1..) view and no maps.  The message marginal is exactly uniform in
-    exact mode only.
+    An exact joint holds its run (``run``, from ``induced_joint``): every
+    metric reads its marginal from the run's branch weights and the
+    channel power of the codewords in use, and the full (m1, m2, x1..,
+    y1_1.., y2_1.., z1..) joint is built on first access to ``joint`` and
+    kept.  Monte Carlo holds the (m1, m2, mh1, mh2, z1..) view and no run,
+    and so does any joint passed in: metrics marginalize it.  The message
+    marginal is exactly uniform in exact mode only.
     """
 
-    joint: JointPmf
-    side: str
-    n: int
-    mode: str
-    trials: int | None
-    provenance: dict
-    dec1: np.ndarray | None = None
-    dec2: np.ndarray | None = None
+    __slots__ = ("_joint", "side", "n", "mode", "trials", "provenance", "run")
+
+    def __init__(
+        self,
+        joint: JointPmf | None,
+        side: str,
+        n: int,
+        mode: str,
+        trials: int | None,
+        provenance: dict,
+        run: _ExactRun | None = None,
+    ) -> None:
+        if joint is None and run is None:
+            raise ValueError("an induced joint needs a joint or an exact run")
+        for name, value in zip(self.__slots__, (joint, side, n, mode, trials, provenance, run)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):  # immutable
+        raise AttributeError("InducedJoint is immutable")
+
+    @property
+    def joint(self) -> JointPmf:
+        if self._joint is None:
+            object.__setattr__(self, "_joint", _exact_joint(self.run))
+        return self._joint
 
     @property
     def z_axes(self) -> tuple[str, ...]:
@@ -614,61 +655,144 @@ def _obs1_index_table(code: BlockCode, n: int) -> np.ndarray:
     return _seq_index(pair.reshape(-1, n), code.obs1_size).reshape(y1f, zf)
 
 
-def _exact_joint(code: BlockCode, model: WiretapModel | GpModel, budget: int) -> JointPmf:
-    """Every code run as weight(m1, m2, x^n, z^n) x kernel(x^n -> y1^n, y2^n, z^n).
+def _exact_run(code: BlockCode, model: WiretapModel | GpModel, budget: int) -> _ExactRun:
+    """The exact run of ``code``; ``budget`` caps the cells of its full joint.
 
     The wiretap weight is unif x the encoder kernel, the same for every
-    z^n, and the kernel is the n-letter power of the channel law.  The GP
-    weight is (unif x q_Z^n) x the encoder table, and the kernel is the
-    power of the state-dependent law with z moved last, taken only over
-    the x^n rows of nonzero branches.  Only nonzero branches are written,
-    which leaves the pages of the other branches untouched, and the joint
-    adopts the array instead of copying it, so those pages stay unmapped.
+    z^n (a broadcast view), and the kernel is the n-letter power of the
+    channel law.  The GP weight is (unif x q_Z^n) x the encoder table, and
+    the kernel is the power of the state-dependent law with z moved last.
     """
     n = code.n
-    m1s, m2s = code.m1_size, code.m2_size
+    m = code.m1_size * code.m2_size
     xf, y1f, y2f, zf = (s**n for s in (code.x_size, code.y1_size, code.y2_size, code.z_size))
-    _check_cells("exact joint", m1s * m2s * xf * y1f * y2f * zf, budget)
-    unif = 1.0 / (m1s * m2s)
+    _check_cells("exact joint", m * xf * y1f * y2f * zf, budget)
+    unif = 1.0 / m
     if code.side == "gp":
         base = unif * _seq_power(model.state_dist.mass, n)  # (zf,)
-        weight = np.moveaxis(base[:, None] * code.encoder_table, 2, 3)
+        weight = np.moveaxis(base[:, None] * code.encoder_table, 2, 3).reshape(m, xf, zf)
         law = np.moveaxis(model.law, 1, -1)
     else:
-        weight = np.broadcast_to((unif * encoder_kernel(code))[..., None], (m1s, m2s, xf, zf))
+        weight = np.broadcast_to((unif * encoder_kernel(code)).reshape(m, xf, 1), (m, xf, zf))
         law = model.law
-    b1, b2, bx, bz = np.nonzero(weight)
-    rows, row_of = np.unique(bx, return_inverse=True)
-    terms = _seq_power_rows(law, n, rows)[row_of, :, :, bz]
-    terms *= weight[b1, b2, bx, bz][:, None, None]
-    out = np.zeros((m1s, m2s, xf, y1f, y2f, zf))
-    out[b1, b2, bx, :, :, bz] = terms
-    return JointPmf._adopt(_full_axes(code), out)
+    return _ExactRun(code, weight, law, weight.any(axis=2), code.dec1[_obs1_index_table(code, n)])
+
+
+def _weighted_row(run: _ExactRun, i: int) -> np.ndarray:
+    """Flat row i = (m, x^n) of the run's full joint.
+
+    Each cell is one product: the n-letter power cell of x^n, taken over
+    that row only, times the row's weight at that cell's z^n.
+    """
+    xf, zf = run.weight.shape[1:]
+    mi, xr = divmod(i, xf)
+    power = _seq_power_rows(run.law, run.code.n, np.array([xr])).reshape(-1, zf)
+    return (power * run.weight[mi, xr]).reshape(-1)
+
+
+def _exact_joint(run: _ExactRun) -> JointPmf:
+    """The full joint of an exact run, the reference every exact metric is tested against.
+
+    Only the rows of nonzero branches are written, which leaves the pages
+    of the other rows untouched, and the joint adopts the array instead of
+    copying it, so those pages stay unmapped.
+    """
+    out = np.zeros((run.live.size, math.prod(run.law.shape[1:]) ** run.code.n))
+    for i in np.flatnonzero(run.live).tolist():
+        out[i] = _weighted_row(run, i)
+    return JointPmf._adopt(_full_axes(run.code), out)
+
+
+def _run_marginal(
+    run: _ExactRun, y1: bool, y2: bool, x: bool = False, z: bool = True
+) -> np.ndarray:
+    """The (m, [x^n,] y^n[, z^n]) marginal of an exact run, each sequence axis flat.
+
+    y^n is the flat (y1^n, y2^n) pair, with the receivers ``y1`` and
+    ``y2`` say to keep, and one cell when neither is kept.  The law is
+    summed over the dropped outputs before its power is taken over the
+    x^n rows of nonzero branches, ``_POWER_CELLS`` cells or one row at a
+    time.  Each row is weighted per z^n by the messages that send it,
+    summed over z^n unless ``z`` and added over x^n unless ``x``.  The
+    full joint is never built.
+    """
+    law = run.law.sum(axis=tuple(a for a, keep in ((1, y1), (2, y2)) if not keep))
+    m, xf, zf = run.weight.shape
+    ycells = math.prod(law.shape[1:-1]) ** run.code.n
+    out = np.zeros((m,) + (xf,) * x + (ycells,) + (zf,) * z)
+    rows = np.flatnonzero(run.live.any(axis=0))
+    step = max(1, _POWER_CELLS // (ycells * zf))
+    for g in range(0, rows.size, step):
+        power = _seq_power_rows(law, run.code.n, rows[g : g + step]).reshape(-1, ycells, zf)
+        for p, xr in zip(power, rows[g : g + step].tolist()):
+            for mi in np.flatnonzero(run.live[:, xr]).tolist():
+                part = p * run.weight[mi, xr]
+                cell = out[mi, xr] if x else out[mi]
+                cell += part if z else part.sum(axis=1)
+    return out
+
+
+def _joint_blocks(run: _ExactRun, starts: list[int], block: int, row_cells: int):
+    """Yield the full joint's flat cells [s, s + block) for each s in ``starts``, in order.
+
+    A row of the joint is one (m, x^n) pair's ``row_cells`` cells.  One
+    buffer is reused for every block, and only the rows of nonzero
+    branches are written into it, each cell bitwise the one
+    ``_exact_joint`` writes, wherever in a row or message block the block
+    starts.
+    """
+    cells = run.live.size * row_cells
+    live = np.flatnonzero(run.live)
+    buf = np.empty(min(block, cells))
+    key = None
+    for s in starts:
+        e = min(s + block, cells)
+        out = buf[: e - s]
+        out.fill(0.0)
+        first, last = np.searchsorted(live, [s // row_cells, (e - 1) // row_cells + 1])
+        for i in live[first:last].tolist():
+            if i != key:  # a row that spans blocks is built once
+                key, row = i, _weighted_row(run, i)
+            lo, hi = max(s, i * row_cells), min(e, (i + 1) * row_cells)
+            out[lo - s : hi - s] = row[lo - i * row_cells : hi - i * row_cells]
+        yield out
 
 
 def _estimate_view(ij: InducedJoint, with_z: bool) -> JointPmf:
     """The (m1, m2, mh1, mh2) marginal, with z^n last when ``with_z``.
 
-    These are the only views that read estimates.  A Monte Carlo joint
-    carries the estimate axes already.  An exact joint moves each cell of
-    a message block to the estimates its decode maps give, in one weighted
-    ``bincount`` per block over its cells in storage order, so each sum
-    adds its terms in the order a marginal of a joint with explicit
-    estimate axes would.
+    These are the only views that read estimates.  A Monte Carlo joint,
+    like any joint passed in, carries the estimate axes already.  An exact
+    run takes its (m, y1^n, y2^n, z^n) marginal from ``_run_marginal``,
+    without z^n when neither the view nor receiver 1 reads it, and moves
+    each cell of a message block to the estimates its decode maps give,
+    in one weighted ``bincount`` per block.
     """
     names = ["m1", "m2", "mh1", "mh2", *(ij.z_axes if with_z else ())]
-    if ij.dec1 is None:
+    run = ij.run
+    if run is None:
         return ij.joint.marginalize(names).reordered(names)
-    j = ij.joint
-    m1s, m2s = j.axis_size("m1"), j.axis_size("m2")
-    zf = ij.dec1.shape[1]
+    code = run.code
+    m1s, m2s = code.m1_size, code.m2_size
+    zf = run.dec1.shape[1]
     kept = zf if with_z else 1
-    # flat (mh1, mh2[, z^n]) cell per (y1^n, y2^n, z^n), repeated per x^n
-    est = (ij.dec1[:, None, :] * m2s + ij.dec2[:, None]) * kept + (np.arange(zf) if with_z else 0)
-    blocks = j.mass.reshape(m1s * m2s, -1)
-    flat = np.tile(est.reshape(-1), blocks.shape[1] // est.size)
-    view = np.stack([np.bincount(flat, weights=b, minlength=m1s * m2s * kept) for b in blocks])
-    return JointPmf._adopt(_secrecy_axes(m1s, m2s, j.axis_size("z1"), ij.n if with_z else 0), view)
+    read_z = with_z or code.informed
+    # flat (mh1, mh2[, z^n]) cell per (y1^n, y2^n[, z^n])
+    dec1 = run.dec1 if read_z else run.dec1[:, :1]
+    est = (dec1[:, None, :] * m2s + code.dec2[:, None]) * kept + (np.arange(zf) if with_z else 0)
+    marg = _run_marginal(run, y1=True, y2=True, z=read_z).reshape(m1s * m2s, -1)
+    view = np.stack([np.bincount(est.reshape(-1), weights=b, minlength=m1s * m2s * kept) for b in marg])
+    return JointPmf._adopt(_secrecy_axes(m1s, m2s, code.z_size, ij.n if with_z else 0), view)
+
+
+def _message_state(ij: InducedJoint) -> JointPmf:
+    """The (m1, m2, z^n) marginal; an exact run reads it from the z-only channel power."""
+    names = ["m1", "m2", *ij.z_axes]
+    if ij.run is None:
+        return ij.joint.marginalize(names).reordered(names)
+    code = ij.run.code
+    axes = _secrecy_axes(code.m1_size, code.m2_size, code.z_size, ij.n)
+    return JointPmf._adopt(axes[:2] + axes[4:], _run_marginal(ij.run, y1=False, y2=False))
 
 
 def _secrecy_axes(m1s: int, m2s: int, zs: int, n: int) -> list[Axis]:
@@ -839,10 +963,10 @@ def induced_joint(
 ) -> InducedJoint:
     """Joint distribution of one code run on ``model``.
 
-    Exact mode enumerates every branch and channel sequence into the
-    (messages, x^n, y1^n, y2^n, z^n) joint and carries the decode maps
-    beside it; Monte Carlo estimates the (messages, estimates, z^n) view
-    from ``trials`` samples.  ``budget`` caps the cells of the joint or
+    Exact mode holds the run of every branch and channel sequence, whose
+    (messages, x^n, y1^n, y2^n, z^n) joint is built only when ``joint`` is
+    read; Monte Carlo estimates the (messages, estimates, z^n) view from
+    ``trials`` samples.  ``budget`` caps the cells of the full joint or of
     the view, checked before anything is allocated.
     """
     if code.side == "wiretap" and not isinstance(model, WiretapModel):
@@ -859,14 +983,13 @@ def induced_joint(
     n = code.n
     if mode == "exact":
         return InducedJoint(
-            joint=_exact_joint(code, model, budget),
+            joint=None,
             side=code.side,
             n=n,
             mode="exact",
             trials=None,
             provenance={"budget": budget, "code_seed": code.meta.get("seed")},
-            dec1=code.dec1[_obs1_index_table(code, n)],
-            dec2=code.dec2,
+            run=_exact_run(code, model, budget),
         )
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
@@ -895,16 +1018,16 @@ def induced_joint(
 # ---------------------------------------------------------------------------
 
 
-def _message_target(ij: InducedJoint, q_z: FinitePmf | None) -> JointPmf:
-    """unif(m1, m2) x 1{mh = m} x q_z^n over the secrecy axes."""
-    j = ij.joint
-    m1s, m2s = j.axis_size("m1"), j.axis_size("m2")
+def _message_target(view: JointPmf, q_z: FinitePmf | None) -> JointPmf:
+    """unif(m1, m2) x 1{mh = m} x q_z^n over the axes of an estimate view."""
+    m1s, m2s = view.axis_size("m1"), view.axis_size("m2")
     if q_z is None:
         qzn, axes = np.ones(1), _secrecy_axes(m1s, m2s, 1, 0)
     else:
-        if q_z.alphabet_size != j.axis_size("z1"):
+        if q_z.alphabet_size != view.axis_size("z1"):
             raise ShapeError("q_z alphabet does not match the induced joint")
-        qzn, axes = _seq_power(q_z.mass, ij.n), _secrecy_axes(m1s, m2s, q_z.alphabet_size, ij.n)
+        n = len(view.axes) - 4
+        qzn, axes = _seq_power(q_z.mass, n), _secrecy_axes(m1s, m2s, q_z.alphabet_size, n)
     mass = np.zeros((m1s, m2s, m1s, m2s, qzn.size))
     unif = 1.0 / (m1s * m2s)
     for a in range(m1s):
@@ -929,7 +1052,7 @@ def error_probability(ij: InducedJoint) -> float:
     pe, marg = _error_terms(ij)
     pe = min(max(pe, 0.0), 1.0)
     if ij.mode == "exact":
-        tv = total_variation(marg, _message_target(ij, None))
+        tv = total_variation(marg, _message_target(marg, None))
         if not abs(pe - tv) <= 1e-12:
             raise NumericalError(
                 f"error probability {pe!r} and total variation {tv!r} differ "
@@ -940,16 +1063,15 @@ def error_probability(ij: InducedJoint) -> float:
 
 def tv_to_target(ij: InducedJoint, q_z: FinitePmf) -> float:
     """TV between the (messages, estimates, z^n) view and its ideal."""
-    return total_variation(_estimate_view(ij, with_z=True), _message_target(ij, q_z))
+    view = _estimate_view(ij, with_z=True)
+    return total_variation(view, _message_target(view, q_z))
 
 
 def message_state_tv(ij: InducedJoint, q_z: FinitePmf) -> float:
     """TV between the (messages, z^n) marginal and unif x q_z^n."""
-    names = ["m1", "m2", *ij.z_axes]
-    marg = ij.joint.marginalize(names).reordered(names)
-    j = ij.joint
+    marg = _message_state(ij)
     qzn = _seq_power(q_z.mass, ij.n)
-    unif = 1.0 / (j.axis_size("m1") * j.axis_size("m2"))
+    unif = 1.0 / (marg.axis_size("m1") * marg.axis_size("m2"))
     mass = unif * np.broadcast_to(
         qzn.reshape((1, 1) + (q_z.alphabet_size,) * ij.n),
         marg.mass.shape,
@@ -977,8 +1099,7 @@ def effective_secrecy(ij: InducedJoint, q_z: FinitePmf) -> SecrecyReport:
     term vanishes under exact enumeration.  An unabsolutely-continuous
     z-marginal yields the distinguished infinity.
     """
-    names = ["m1", "m2", *ij.z_axes]
-    marg = ij.joint.marginalize(names).reordered(names)
+    marg = _message_state(ij)
     leakage = mutual_information(marg, {"m1", "m2"}, set(ij.z_axes))
     z_marg = marg.marginalize(ij.z_axes).reordered(ij.z_axes)
     if q_z.alphabet_size != z_marg.axes[0].size:
@@ -1007,7 +1128,7 @@ def effective_secrecy(ij: InducedJoint, q_z: FinitePmf) -> SecrecyReport:
 def reliability_identity_residual(ij: InducedJoint) -> float:
     """|P_e - TV((M, Mh) marginal, uniform-and-correct)|; zero when exact."""
     pe, marg = _error_terms(ij)
-    return abs(pe - total_variation(marg, _message_target(ij, None)))
+    return abs(pe - total_variation(marg, _message_target(marg, None)))
 
 
 def secrecy_identity_residual(ij: InducedJoint, q_z: FinitePmf) -> float:
@@ -1047,15 +1168,16 @@ def induce_gp_code(
 
 
 def _gp_code_from_joint(wt_code: BlockCode, ij: InducedJoint) -> BlockCode:
-    """The induced GP code of ``wt_code`` from its exact induced joint."""
+    """The induced GP code of ``wt_code`` from its exact run, through the (m, z^n, x^n) marginal."""
     n = wt_code.n
-    x_axes = [f"x{i + 1}" for i in range(n)]
-    names = ["m1", "m2", *ij.z_axes, *x_axes]
-    marg = ij.joint.marginalize(names).reordered(names)
-    kern = marg.condition(["m1", "m2", *ij.z_axes])
+    m1s, m2s = wt_code.m1_size, wt_code.m2_size
     zf = wt_code.z_size**n
     xf = wt_code.x_size**n
-    enc = kern.rows.reshape(wt_code.m1_size, wt_code.m2_size, zf, xf)
+    axes = _secrecy_axes(m1s, m2s, wt_code.z_size, n)
+    axes = axes[:2] + axes[4:] + [Axis(f"x{i + 1}", wt_code.x_size) for i in range(n)]
+    mass = _run_marginal(ij.run, y1=False, y2=False, x=True).reshape(m1s, m2s, xf, zf)
+    kern = JointPmf(axes, mass.swapaxes(2, 3)).condition(["m1", "m2", *ij.z_axes])
+    enc = kern.rows.reshape(m1s, m2s, zf, xf)
     filled = tuple(
         (int(c[0]), int(c[1]), int(_seq_index(np.array(c[2:]), wt_code.z_size)))
         for c in kern.filled_rows
@@ -1085,8 +1207,13 @@ def gp_collapse_residual(
     full joints equals || P_{M, Z^n} - unif x q_z^n || exactly.  The full
     TV is taken over (messages, x^n, y1^n, y2^n, z^n): both codes use the
     same decoders, so adding the estimates would split every cell of both
-    joints alike and leave the TV unchanged.  The wiretap code is
-    enumerated once, for both the encoder and the TV.
+    joints alike and leave the TV unchanged.  The wiretap run serves both
+    the encoder and the TV.  Neither full joint is built whole: both are
+    built side by side one ``TV_BLOCK`` of flat cells at a time, into one
+    reused buffer each, and blocks that no nonzero branch of either run
+    reaches are skipped, their partial sums being zero.  The blocks start
+    where ``total_variation``'s do, so the full TV is bitwise that of the
+    two full joints.
     """
     if wt_code.side != "wiretap":
         raise ValueError("gp_collapse_residual starts from a wiretap code")
@@ -1096,7 +1223,17 @@ def gp_collapse_residual(
     ij_wt = induced_joint(wt_code, wt_model, mode="exact", budget=budget)
     gp_code = _gp_code_from_joint(wt_code, ij_wt)
     ij_gp = induced_joint(gp_code, gp_model, mode="exact", budget=budget)
-    full = total_variation(ij_wt.joint, ij_gp.joint)
+    runs = (ij_wt.run, ij_gp.run)
+    block = divergence.TV_BLOCK
+    rc = (wt_code.y1_size * wt_code.y2_size * wt_code.z_size) ** wt_code.n
+    touched = np.zeros(-(-ij_wt.run.live.size * rc // block), dtype=bool)
+    for run in runs:
+        for i in np.flatnonzero(run.live).tolist():
+            touched[i * rc // block : ((i + 1) * rc - 1) // block + 1] = True
+    starts = (np.flatnonzero(touched) * block).tolist()
+    wt_blocks, gp_blocks = (_joint_blocks(run, starts, block, rc) for run in runs)
+    # the difference goes into the wiretap buffer, which the next block refills
+    full = blocked_total_variation((a, b, a) for a, b in zip(wt_blocks, gp_blocks))
     collapsed = message_state_tv(ij_wt, q_z)
     return abs(full - collapsed), full, collapsed
 
@@ -1163,8 +1300,9 @@ def multiletter_converse_gap(
     rate = math.log2(gp_code.m1_size) / n
     y_axes = [f"y1_{i + 1}" for i in range(n)]
     z_axes = list(ij.z_axes)
-    keep = ["m1", *y_axes, *z_axes]
-    marg = ij.joint.marginalize(keep)
+    axes = [Axis("m1", gp_code.m1_size)]
+    axes += [Axis(a, gp_code.y1_size) for a in y_axes] + [Axis(a, gp_code.z_size) for a in z_axes]
+    marg = JointPmf._adopt(axes, _run_marginal(ij.run, y1=True, y2=False))
     informed = gp_code.informed
     terms = []
     for i in range(n):

@@ -58,14 +58,26 @@ def _pair_masses(p: Dist, q: Dist) -> tuple[np.ndarray, np.ndarray]:
 def total_variation(p: Dist, q: Dist) -> float:
     pm, qm = _pair_masses(p, q)
     pm, qm = pm.reshape(-1), qm.reshape(-1)
-    # flat blocks of at most TV_BLOCK cells bound the difference buffer;
-    # math.fsum adds the block partials exactly, so the sums do not
-    # accumulate rounding across blocks
+    # flat blocks of at most TV_BLOCK cells bound the difference buffer
     diff = np.empty(min(pm.size, TV_BLOCK))
+    return blocked_total_variation(
+        (pm[s : s + TV_BLOCK], qm[s : s + TV_BLOCK], diff[: min(TV_BLOCK, pm.size - s)])
+        for s in range(0, pm.size, TV_BLOCK)
+    )
+
+
+def blocked_total_variation(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> float:
+    """Total variation from flat blocks (p, q, out) of two masses.
+
+    ``out`` receives the block's difference and may be p's own storage.
+    Blocks where p and q are both zero may be left out: their partial sums
+    are zero.  math.fsum adds the block partials exactly, so the sums do
+    not accumulate rounding across blocks, and two callers that cut the
+    same cells at the same boundaries get bitwise the same result.
+    """
     pos, l1 = [], []
-    for start in range(0, pm.size, TV_BLOCK):
-        stop = min(start + TV_BLOCK, pm.size)
-        d = np.subtract(pm[start:stop], qm[start:stop], out=diff[: stop - start])
+    for pb, qb, out in blocks:
+        d = np.subtract(pb, qb, out=out)
         pos.append(float(d.sum(where=d > 0)))
         l1.append(float(np.abs(d, out=d).sum()))
     # one-sided form max_A (p(A) - q(A)) must agree with the half-L1 form

@@ -182,6 +182,13 @@ class TestEncoder:
         with pytest.raises(ValueError):
             wiretap_code_from_tables(model, 2, bad, np.zeros(4), np.zeros(1))
 
+    def test_table_encoder_rejects_nan_rows(self):
+        law = np.einsum("xa,xc->xac", bsc(0.1), bsc(0.25))[:, :, None, :]
+        with pytest.raises(ValueError, match="encoder rows must be pmfs"):
+            wiretap_code_from_tables(
+                WiretapModel(law=law), 1, [[[np.nan, 1.0]]], np.zeros(2), np.zeros(1)
+            )
+
 
 def trend_code(n, seed, eps):
     """Criterion 09's informed ternary fixture: Y1 = Y2 = X, binary Z."""
@@ -559,6 +566,203 @@ class TestExactReference:
             pp_model(informed_receiver=informed), FinitePmf([0.3, 0.7])
         )
         self.check(random_gp_code(gp_model, 2, 3, seed=6), gp_model)
+
+
+def random_exact_case(kind, informed, n, seed):
+    """A small random code of ``kind`` and its model, for the marginal checks.
+
+    The letter law has zero cells, the encoder rows of table codes have
+    zero branches, and every code gets random decode maps.  ``gp`` is a
+    point-to-point ``random_gp_code``; ``induced`` is the GP code induced
+    from a random table code.
+    """
+    rng = np.random.default_rng(seed)
+    xs, y1s, zs = (int(v) for v in rng.integers(2, 4, size=3))
+    y2s = 1 if kind == "gp" else int(rng.integers(1, 3))
+    law = rng.dirichlet(np.ones(y1s * y2s * zs), size=xs)
+    law *= rng.random(law.shape) < 0.7
+    law[np.arange(xs), rng.integers(0, law.shape[1], xs)] += 0.1  # no empty row
+    law = (law / law.sum(axis=1, keepdims=True)).reshape(xs, y1s, y2s, zs)
+    model = WiretapModel(law=law, informed_receiver=informed)
+    if kind == "codebook":
+        rates = CodeRates(*rng.choice([0.0, 0.5, 1.0], size=4) / n)
+        p_ux = JointPmf([Axis("u", 2), Axis("x", xs)], rng.dirichlet(np.ones(2 * xs)).reshape(2, xs))
+        code = superposition_code(sample_codebook(p_ux, n, rates, seed), model, 0.5)
+        return random_decoders(code, seed), model
+    if kind == "gp":
+        gp_model = analogous_gpbc(model, FinitePmf(rng.dirichlet(np.ones(zs))))
+        return random_gp_code(gp_model, n, int(rng.integers(1, 4)), seed), gp_model
+    m1s, m2s = int(rng.integers(1, 4)), 1 + (y2s > 1)
+    enc = rng.dirichlet(np.ones(xs**n), size=(m1s, m2s)) * (rng.random((m1s, m2s, xs**n)) < 0.5)
+    enc[:, :, 0] += 0.05  # every row keeps a branch
+    enc /= enc.sum(axis=2, keepdims=True)
+    obs1 = (y1s * zs if informed else y1s) ** n
+    code = wiretap_code_from_tables(
+        model, n, enc, rng.integers(0, m1s, obs1), rng.integers(0, m2s, y2s**n)
+    )
+    if kind == "induced":
+        gp_code, gp_model = induce_gp_code(code, model)
+        return random_decoders(gp_code, seed), gp_model
+    return code, model
+
+
+def full_joint_view(ij, code):
+    """The (m1, m2, mh1, mh2, z^n) view of the full joint, through ``marginalize``."""
+    n = code.n
+    keep = ["m1", "m2"] + [f"y1_{i + 1}" for i in range(n)] + [f"y2_{i + 1}" for i in range(n)]
+    marg = ij.joint.marginalize(keep + list(ij.z_axes)).mass.reshape(code.m1_size, code.m2_size, -1)
+    zf = code.z_size**n
+    dec1 = code.dec1[codes._obs1_index_table(code, n)]
+    est = ((dec1[:, None, :] * code.m2_size + code.dec2[:, None]) * zf + np.arange(zf)).reshape(-1)
+    view = np.zeros((code.m1_size, code.m2_size, code.m1_size * code.m2_size * zf))
+    for a, b in itertools.product(range(code.m1_size), range(code.m2_size)):
+        np.add.at(view[a, b], est, marg[a, b])
+    axes = codes._secrecy_axes(code.m1_size, code.m2_size, code.z_size, n)
+    return codes.InducedJoint(JointPmf(axes, view), code.side, n, "exact", None, {})
+
+
+def full_joint_converse_gap(ij, code):
+    """The converse slack of ``multiletter_converse_gap``, from the full joint's marginal."""
+    n = code.n
+    y = [f"y1_{i + 1}" for i in range(n)]
+    z = list(ij.z_axes)
+    marg = ij.joint.marginalize(["m1", *y, *z])
+    terms = []
+    for i in range(n):
+        obs, past = ({y[i], z[i]}, set(y[:i] + z[:i])) if code.informed else ({y[i]}, set(y[:i]))
+        u = {"m1"} | past | set(z[i + 1 :])
+        terms.append(
+            divergence.mutual_information(marg, u, obs) - divergence.mutual_information(marg, u, {z[i]})
+        )
+    rate = math.log2(code.m1_size) / n
+    return sum(terms) / n + 1.0 / n + rate * error_probability(ij) - rate
+
+
+class TestExactMarginals:
+    """Every exact metric from its own marginal against the full-joint path."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["codebook", "table", "gp", "induced"]),
+        informed=st.booleans(),
+        n=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_marginals_and_metrics_match_the_full_joint(self, kind, informed, n, seed):
+        code, model = random_exact_case(kind, informed, n, seed)
+        ij = induced_joint(code, model)
+        full = ij.joint
+        m = code.m1_size * code.m2_size
+        x = [f"x{i + 1}" for i in range(n)]
+        y1 = [f"y1_{i + 1}" for i in range(n)]
+        y2 = [f"y2_{i + 1}" for i in range(n)]
+        z = list(ij.z_axes)
+        close = dict(rtol=0, atol=1e-15)
+        for keep, args in [
+            (y1 + y2 + z, (True, True)),
+            (y1 + z, (True, False)),
+            (z, (False, False)),
+        ]:
+            want = full.marginalize(["m1", "m2", *keep]).mass.reshape(m, -1, code.z_size**n)
+            np.testing.assert_allclose(codes._run_marginal(ij.run, *args), want, **close)
+        want = full.marginalize(["m1", "m2", *x, *z]).mass.reshape(m, -1, 1, code.z_size**n)
+        np.testing.assert_allclose(codes._run_marginal(ij.run, False, False, x=True), want, **close)
+
+        ref = full_joint_view(ij, code)
+        q_z = FinitePmf(np.full(code.z_size, 1.0 / code.z_size))
+        for metric in (
+            error_probability,
+            reliability_identity_residual,
+            lambda j: secrecy_identity_residual(j, q_z),
+            lambda j: tv_to_target(j, q_z),
+            lambda j: message_state_tv(j, q_z),
+            lambda j: dataclasses.astuple(effective_secrecy(j, q_z)),
+        ):
+            np.testing.assert_allclose(metric(ij), metric(ref), **close)
+        if code.side == "wiretap":
+            names = ["m1", "m2", *z]
+            kern = full.marginalize(names + x).reordered(names + x).condition(names)
+            gp_code = codes._gp_code_from_joint(code, ij)
+            np.testing.assert_allclose(gp_code.encoder_table.reshape(kern.rows.shape), kern.rows, **close)
+            assert gp_code.encoder_filled == tuple(
+                (c[0], c[1], int(codes._seq_index(np.array(c[2:]), code.z_size)))
+                for c in kern.filled_rows
+            )
+        elif code.m2_size == 1:
+            got = multiletter_converse_gap(code, model).gap
+            assert abs(got - full_joint_converse_gap(ij, code)) <= 1e-15
+
+    def ternary_code(self):
+        # x, y1, z ternary at n = 3: a message block holds 3^3 * 3^6 = 19683
+        # cells, a multiple of no power of two, and one of the 27 x^3 rows
+        # is never sent
+        rng = np.random.default_rng(8)
+        law = rng.dirichlet(np.ones(9), size=3).reshape(3, 3, 1, 3)
+        law[0, 1, 0, :] = 0.0
+        law /= law.sum(axis=(1, 2, 3), keepdims=True)
+        model = WiretapModel(law=law)
+        enc = rng.dirichlet(np.ones(27), size=(2, 1)) * (rng.random((2, 1, 27)) < 0.3)
+        enc[:, :, 5] = 0.0
+        enc[:, :, 0] += 0.1
+        enc /= enc.sum(axis=2, keepdims=True)
+        return wiretap_code_from_tables(model, 3, enc, rng.integers(0, 2, 27), np.zeros(1, dtype=np.int64)), model
+
+    def state_revealing_code(self):
+        # z = x: half the (m, z^n) cells are unreachable, so the induced GP
+        # code's filled rows send x^n rows the wiretap code never sends
+        law = np.zeros((2, 2, 1, 2))
+        for x in range(2):
+            law[x, :, 0, x] = bsc(0.1)[x]
+        model = WiretapModel(law=law)
+        enc = np.zeros((2, 1, 4))
+        enc[0, 0, 0] = enc[1, 0, 3] = 1.0
+        return wiretap_code_from_tables(model, 2, enc, np.array([0, 0, 1, 1]), np.zeros(1, dtype=np.int64)), model
+
+    @pytest.mark.parametrize(
+        "case, block",
+        [("sparse_n5", None), ("sparse_n5", 4099), ("ternary", None), ("ternary", 7),
+         ("ternary", 1000), ("ternary", 4099), ("state_revealing", None), ("state_revealing", 7)],
+    )
+    def test_collapse_full_tv_is_that_of_the_two_joints(self, case, block, monkeypatch):
+        # the default block holds whole message blocks of the n = 5 code and
+        # part of the ternary code's one; blocks of 7, 1000 and 4099 cells
+        # straddle message blocks, and 7 and 1000 split the ternary code's
+        # 729-cell rows
+        if block is not None:
+            monkeypatch.setattr(divergence, "TV_BLOCK", block)
+        code, model = {"sparse_n5": sparse_n5_code, "ternary": self.ternary_code,
+                       "state_revealing": self.state_revealing_code}[case]()
+        q_z = default_state_dist(model)
+        gp_code, gp_model = induce_gp_code(code, model, q_z)
+        want = total_variation(induced_joint(code, model).joint, induced_joint(gp_code, gp_model).joint)
+        residual, full, collapsed = gp_collapse_residual(code, model, q_z)
+        assert full == want
+        assert residual <= 1e-12
+
+
+class TestMarginalMemory:
+    def test_exact_metrics_never_build_the_joint(self):
+        code, model = sparse_n5_code()
+        q_z = default_state_dist(model)
+
+        def metrics():
+            ij = induced_joint(code, model)
+            error_probability(ij)
+            reliability_identity_residual(ij)
+            secrecy_identity_residual(ij, q_z)
+            tv_to_target(ij, q_z)
+            message_state_tv(ij, q_z)
+
+        _, peak = traced_peak(metrics)
+        # an eighth of the 32 MiB joint
+        assert peak < (1 << 25) // 8
+
+    def test_collapse_holds_one_block_per_side(self):
+        code, model = sparse_n5_code()
+        _, peak = traced_peak(lambda: gp_collapse_residual(code, model))
+        # one TV_BLOCK of float64 cells per side, one block's sign mask and
+        # difference, and 1 MiB for the power rows, decode maps and encoders
+        assert peak <= 2 * 8 * divergence.TV_BLOCK + 9 * divergence.TV_BLOCK + (1 << 20)
 
 
 class TestNumericalGuards:
