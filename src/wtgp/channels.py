@@ -19,10 +19,13 @@ File format: a channel JSON object with fields ``kind`` ("wiretap" or
 [x][y1][y2][z], GP order [x][z][y1][y2]), ``state_dist`` (GP only),
 optional ``informed_receiver`` (true or false), ``coop_capacity`` (null
 or a finite number >= 0) and, for GP, ``filled_cells`` ([x, z] pairs).
-Rows must sum to 1 within 1e-9 (then rescaled exactly).  Arrays of
-anything but numbers are rejected, non-finite and negative entries with
-their cell coordinates.  Every field is checked, never cast, so a
-malformed one is a channel-format error naming it.
+File rows (``law`` and ``state_dist``) must sum to 1 within 1e-9 and
+are then rescaled exactly; a model built in code is checked at
+``pmf.NORMALIZATION_TOL`` (1e-12) and never rescaled.  Both checks are
+``pmf.check_rows``.  Arrays of anything but numbers are rejected,
+non-finite and negative entries with their cell coordinates.  Every
+field is checked, never cast, so a malformed one is a channel-format
+error naming it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import (
     RowSumError,
     ShapeError,
 )
-from .pmf import NORMALIZATION_TOL, FinitePmf
+from .pmf import FinitePmf, check_rows
 
 ROW_SUM_TOL = 1e-9
 SD_TOL = 1e-12
@@ -51,22 +54,7 @@ PD_RESIDUAL_TOL = 1e-9
 def _check_law(law: np.ndarray, row_axes: int, what: str) -> np.ndarray:
     """Validate a conditional law whose leading ``row_axes`` axes index rows."""
     law = np.ascontiguousarray(law, dtype=np.float64)
-    if not np.isfinite(law).all():
-        cell = tuple(int(i) for i in np.argwhere(~np.isfinite(law))[0])
-        raise ValueError(f"{what} has a non-finite entry at cell {cell}")
-    if (law < 0.0).any():
-        cell = tuple(int(i) for i in np.argwhere(law < 0.0)[0])
-        raise ValueError(f"{what} has a negative entry at cell {cell}")
-    rows = law.reshape(int(np.prod(law.shape[:row_axes])), -1)
-    sums = rows.sum(axis=1)
-    off = np.abs(sums - 1.0) > NORMALIZATION_TOL
-    if off.any():
-        i = int(np.flatnonzero(off)[0])
-        cell = tuple(int(v) for v in np.unravel_index(i, law.shape[:row_axes]))
-        raise ValueError(
-            f"{what} row {cell} sums to {sums[i]!r}, outside tolerance "
-            f"{NORMALIZATION_TOL}"
-        )
+    check_rows(law, row_axes, what)
     law.setflags(write=False)
     return law
 
@@ -339,16 +327,8 @@ def _is_finite(v) -> bool:
 
 
 def _normalize_rows(arr: np.ndarray, row_axes: int, what: str) -> np.ndarray:
-    rows = arr.reshape(int(np.prod(arr.shape[:row_axes])), -1)
-    sums = rows.sum(axis=1)
-    off = np.abs(sums - 1.0) > ROW_SUM_TOL
-    if off.any():
-        i = int(np.flatnonzero(off)[0])
-        cell = tuple(int(v) for v in np.unravel_index(i, arr.shape[:row_axes]))
-        raise RowSumError(
-            f"{what} row {cell} sums to {sums[i]!r}, outside tolerance {ROW_SUM_TOL}"
-        )
-    return (rows / sums[:, None]).reshape(arr.shape)
+    sums = check_rows(arr, row_axes, what, ROW_SUM_TOL, RowSumError)
+    return (arr.reshape(sums.size, -1) / sums[:, None]).reshape(arr.shape)
 
 
 def model_from_dict(doc: dict) -> WiretapModel | GpModel:
@@ -389,11 +369,7 @@ def model_from_dict(doc: dict) -> WiretapModel | GpModel:
     if "state_dist" not in doc:
         raise ChannelFormatError("gp channel requires 'state_dist'")
     sd = _load_rows(doc["state_dist"], (sizes["z"],), "state_dist")
-    total = float(sd.sum())
-    if abs(total - 1.0) > ROW_SUM_TOL:
-        raise RowSumError(
-            f"state_dist sums to {total!r}, outside tolerance {ROW_SUM_TOL}"
-        )
+    sd = _normalize_rows(sd, 0, "state_dist")
     filled = doc.get("filled_cells", [])
     if not isinstance(filled, list) or not all(
         isinstance(c, list) and len(c) == 2 and all(_is_int(v, 0) for v in c)
@@ -404,7 +380,7 @@ def model_from_dict(doc: dict) -> WiretapModel | GpModel:
             f"filled_cells must be a list of [x, z] cells within the alphabets, got {filled!r}"
         )
     return GpModel(
-        state_dist=FinitePmf(sd / total),
+        state_dist=FinitePmf(sd),
         law=law,
         informed_receiver=informed,
         coop_capacity=coop,

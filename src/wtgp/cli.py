@@ -51,7 +51,7 @@ from .codes import (
     tv_to_target,
 )
 from .errors import ChannelFormatError, RowSumError, WtgpError
-from .pmf import NORMALIZATION_TOL, Axis, FinitePmf, JointPmf
+from .pmf import Axis, FinitePmf, JointPmf, check_rows
 from .regions import (
     FAMILIES,
     SearchParams,
@@ -175,12 +175,7 @@ def _params(args, defaults: dict, **flags) -> dict:
 def _pmf_array(value, what: str) -> np.ndarray:
     """``value`` as an array, refused unless it sums to 1 (never rescaled)."""
     arr = np.asarray(value, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        total = float(arr.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise RowSumError(
-            f"{what} sums to {total!r}, outside tolerance {NORMALIZATION_TOL}"
-        )
+    check_rows(arr, 0, what, error=RowSumError)
     return arr
 
 

@@ -62,7 +62,7 @@ from .divergence import (
     total_variation,
 )
 from .errors import NumericalError, ResourceError, ShapeError
-from .pmf import Axis, FinitePmf, JointPmf
+from .pmf import Axis, FinitePmf, JointPmf, check_rows
 
 DEFAULT_ENUM_BUDGET = 10**8
 DEFAULT_TABLE_BUDGET = 1 << 20
@@ -464,9 +464,7 @@ def wiretap_code_from_tables(
     enc = np.asarray(encoder_table, dtype=np.float64)
     if enc.ndim != 3 or enc.shape[2] != model.x_size**n:
         raise ShapeError("encoder table must be (m1, m2, x_size**n)")
-    # written so that a NaN row sum fails too
-    if not (np.abs(enc.sum(axis=2) - 1.0) <= 1e-9).all() or (enc < 0).any():
-        raise ValueError("encoder rows must be pmfs")
+    check_rows(enc, 2, "encoder rows must be pmfs: encoder table")
     m1s, m2s = enc.shape[0], enc.shape[1]
     return BlockCode(
         side="wiretap",

@@ -9,8 +9,11 @@ enumeration) is built on three dense types:
 * ``StochasticKernel`` -- a conditional distribution, one valid pmf row per
   input cell.
 
-Construction validates exactly: nonnegative mass summing to one within
-``NORMALIZATION_TOL``.  Inputs outside tolerance are rejected, never
+``check_rows`` is the one pmf rule for every probability array in the
+package: laws, kernels, encoder tables and pmfs are valid row by row
+when each row is nonnegative and sums to one within a tolerance
+(``NORMALIZATION_TOL`` unless the caller names another).  Construction
+applies it exactly; inputs outside tolerance are rejected, never
 renormalized silently.  Conditioning on a zero-probability cell fills that
 row with the uniform distribution and records the cell in
 ``filled_rows`` so callers can decide whether the fill matters.
@@ -22,6 +25,7 @@ share across threads.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,22 +63,49 @@ def _as_readonly(arr) -> np.ndarray:
     return _freeze(np.array(arr, dtype=np.float64, order="C"))
 
 
-def _validate_mass(mass: np.ndarray, what: str) -> None:
-    if mass.size == 0:
-        raise ValueError(f"{what} must have at least one cell")
-    # min() reduces without a cell-sized mask; the cell is located only on failure
-    if mass.min() < 0.0:
-        neg = mass < 0.0
-        idx = tuple(int(i) for i in np.argwhere(neg)[0])
-        raise ValueError(
-            f"{what} has a negative entry {mass[neg][0]!r} at cell {idx}"
-        )
-    total = float(mass.sum())
-    # written so that a NaN total fails too
-    if not abs(total - 1.0) <= NORMALIZATION_TOL:
-        raise ValueError(
-            f"{what} sums to {total!r}, outside tolerance {NORMALIZATION_TOL}"
-        )
+def check_rows(
+    arr: np.ndarray,
+    row_axes: int,
+    what: str,
+    tol: float = NORMALIZATION_TOL,
+    error: type[Exception] = ValueError,
+) -> np.ndarray:
+    """Row sums of ``arr``, refused with ``error`` unless each row is a pmf.
+
+    The leading ``row_axes`` axes index the rows; 0 makes ``arr`` one pmf.
+    A row passes when its entries are >= 0 and its sum is within ``tol``
+    of 1.  Only ``min()`` and the row sums run over the cells: a NaN or
+    infinite entry makes its row sum non-finite, and the bad cell is
+    located only after a check has failed.  Returns the sums, shape
+    ``(prod(arr.shape[:row_axes]),)``.
+    """
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.size == 0:
+        raise error(f"{what} must have at least one cell")
+    if arr.min() < 0.0:
+        cell = tuple(int(i) for i in np.argwhere(arr < 0.0)[0])
+        raise error(f"{what} has a negative entry {float(arr[cell])} at cell {cell}")
+    lead = arr.shape[:row_axes]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = arr.reshape(math.prod(lead), -1).sum(axis=1)
+    # written so that a NaN row sum fails too
+    ok = np.abs(sums - 1.0) <= tol
+    if not ok.all():
+        # a non-finite row is named before a merely unnormalized one
+        inf = ~np.isfinite(sums)
+        i = int(np.flatnonzero(inf if inf.any() else ~ok)[0])
+        row = tuple(int(v) for v in np.unravel_index(i, lead))
+        total = float(sums[i])
+        bad = ~np.isfinite(arr[row])
+        if bad.any():
+            cell = row + tuple(int(v) for v in np.argwhere(bad)[0])
+            name = f"row {row}" if row_axes else "it"
+            raise error(
+                f"{what} has a non-finite entry at cell {cell}, so {name} sums to {total}"
+            )
+        where = f" row {row}" if row_axes else ""
+        raise error(f"{what}{where} sums to {total}, outside tolerance {tol}")
+    return sums
 
 
 class FinitePmf:
@@ -84,7 +115,7 @@ class FinitePmf:
 
     def __init__(self, mass) -> None:
         arr = _as_readonly(np.asarray(mass, dtype=np.float64).reshape(-1))
-        _validate_mass(arr, "pmf")
+        check_rows(arr, 0, "pmf")
         object.__setattr__(self, "mass", arr)
 
     def __setattr__(self, name, value):  # immutable
@@ -150,7 +181,7 @@ class JointPmf:
                     f"mass shape {arr.shape} does not match axes {shape}"
                 )
         arr = _freeze(arr)
-        _validate_mass(arr, "joint pmf")
+        check_rows(arr, 0, "joint pmf")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "mass", arr)
 
@@ -270,23 +301,7 @@ class StochasticKernel:
                 arr = arr.reshape(shape)
             else:
                 raise ShapeError(f"rows shape {arr.shape} != {shape}")
-        n_in = int(np.prod([ax.size for ax in input_axes]))
-        n_out = int(np.prod([ax.size for ax in output_axes]))
-        flat = arr.reshape(n_in, n_out)
-        if (flat < 0.0).any():
-            bad = np.argwhere(flat < 0.0)[0]
-            raise ValueError(f"kernel has a negative entry at flat cell {tuple(bad)}")
-        sums = flat.sum(axis=1)
-        # written so that a NaN row sum fails too
-        off = ~(np.abs(sums - 1.0) <= NORMALIZATION_TOL)
-        if off.any():
-            i = int(np.flatnonzero(off)[0])
-            in_shape = tuple(ax.size for ax in input_axes)
-            cell = tuple(int(v) for v in np.unravel_index(i, in_shape))
-            raise ValueError(
-                f"kernel row {cell} sums to {sums[i]!r}, outside "
-                f"tolerance {NORMALIZATION_TOL}"
-            )
+        check_rows(arr, len(input_axes), "kernel")
         arr = _as_readonly(arr)
         object.__setattr__(self, "input_axes", input_axes)
         object.__setattr__(self, "output_axes", output_axes)

@@ -63,7 +63,7 @@ import numpy as np
 
 from .channels import GpModel, WiretapModel, classify
 from .errors import ClassificationError, ResourceError, ShapeError
-from .pmf import Axis, JointPmf, StochasticKernel
+from .pmf import Axis, JointPmf, StochasticKernel, check_rows
 
 FAMILIES: dict[str, tuple[str, str]] = {
     "SD-WT": ("wiretap", "SD"),
@@ -809,8 +809,7 @@ def blahut_arimoto(
     w = np.asarray(channel, dtype=np.float64)
     if w.ndim != 2:
         raise ShapeError("channel matrix must be 2-d (x, y)")
-    if (w < 0).any() or np.abs(w.sum(axis=1) - 1.0).max() > 1e-9:
-        raise ValueError("channel rows must be pmfs")
+    check_rows(w, 1, "channel rows must be pmfs: channel matrix", tol=1e-9)
     nx = w.shape[0]
     r = np.full(nx, 1.0 / nx)
     mask = w > 0.0

@@ -182,6 +182,18 @@ class TestEncoder:
         with pytest.raises(ValueError):
             wiretap_code_from_tables(model, 2, bad, np.zeros(4), np.zeros(1))
 
+    def test_table_encoder_rows_are_checked_at_the_pmf_tolerance(self):
+        # rows 4e-10 off 1 used to build a code whose every exact metric
+        # then refused its joint; they are refused where they enter
+        enc = np.zeros((4, 1, 4))
+        enc[np.arange(4), 0, np.arange(4)] = 1.0
+        enc[2, 0, 2] += 4e-10
+        with pytest.raises(
+            ValueError,
+            match=r"encoder rows must be pmfs: encoder table row \(2, 0\) sums to 1\.0000000004",
+        ):
+            wiretap_code_from_tables(pp_model(), 2, enc, np.arange(4), np.zeros(1))
+
     def test_table_encoder_rejects_nan_rows(self):
         law = np.einsum("xa,xc->xac", bsc(0.1), bsc(0.25))[:, :, None, :]
         with pytest.raises(ValueError, match="encoder rows must be pmfs"):
@@ -377,6 +389,14 @@ class TestExactMemory:
         assert joint == 1 << 25
         # the joint, plus the buffer of its written branches
         assert peak <= joint + joint // 8
+
+    def test_first_joint_access_is_allocated_once(self):
+        code, model = sparse_n5_code()
+        ij = induced_joint(code, model)
+        joint, peak = traced_peak(lambda: ij.joint)
+        assert joint.mass.nbytes == 1 << 25
+        # the joint, plus the buffer of its written branches
+        assert peak <= joint.mass.nbytes + joint.mass.nbytes // 8
 
     def test_collapse_holds_two_joints_and_one_tv_block(self):
         code, model = sparse_n5_code()

@@ -1,17 +1,26 @@
 """Construction, marginalization, conditioning, and extension of pmfs."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wtgp.errors import ResourceError, ShapeError
+from wtgp.errors import ResourceError, RowSumError, ShapeError
 from wtgp.pmf import (
     Axis,
     FinitePmf,
     JointPmf,
     StochasticKernel,
     aligned_masses,
+    check_rows,
     iid_extension,
 )
+
+# derandomized, so that the suite draws the same examples on every run
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
 
 def random_joint(rng, sizes, names=None):
@@ -167,6 +176,86 @@ class TestStochasticKernel:
     def test_nan_row(self):
         with pytest.raises(ValueError, match=r"row \(1,\) sums to .*nan"):
             StochasticKernel([Axis("x", 2)], [Axis("y", 2)], [[0.5, 0.5], [np.nan, 1.0]])
+
+
+@st.composite
+def row_pmfs(draw):
+    """(array, row_axes): random shape, every row a Dirichlet pmf, some zeros."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    row_axes = draw(st.integers(0, len(shape) - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.dirichlet(np.ones(math.prod(shape[row_axes:])), size=math.prod(shape[:row_axes]))
+    rows = rows * (rng.random(rows.shape) < 0.7)
+    # a row the mask emptied gets its mass back on one cell
+    rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows.reshape(shape), row_axes
+
+
+class TestCheckRows:
+    @PROPERTY
+    @given(case=row_pmfs())
+    def test_valid_rows_return_their_sums_bitwise(self, case):
+        arr, row_axes = case
+        rows = math.prod(arr.shape[:row_axes])
+        sums = check_rows(arr, row_axes, "t", tol=1e-9)
+        assert sums.tobytes() == arr.reshape(rows, -1).sum(axis=1).tobytes()
+
+    @PROPERTY
+    @given(
+        case=row_pmfs(),
+        bad=st.sampled_from(["nan", "+inf", "-inf", "negative", "off"]),
+        tol=st.sampled_from([1e-12, 1e-9]),
+        error=st.sampled_from([ValueError, RowSumError]),
+        data=st.data(),
+    )
+    def test_one_bad_cell_is_refused_naming_its_row(self, case, bad, tol, error, data):
+        arr, row_axes = case
+        arr = arr.copy()
+        cell = tuple(data.draw(st.integers(0, s - 1)) for s in arr.shape)
+        row = cell[:row_axes]
+        arr[cell] = {
+            "nan": np.nan,
+            "+inf": np.inf,
+            "-inf": -np.inf,
+            "negative": -0.25,
+            "off": arr[cell] + 2 * tol,
+        }[bad]
+        with pytest.raises(error) as info:
+            check_rows(arr, row_axes, "t", tol=tol, error=error)
+        assert type(info.value) is error
+        msg = str(info.value)
+        name = f"row {row}" if row_axes else "it"
+        if bad in ("-inf", "negative"):
+            assert msg == f"t has a negative entry {arr[cell]} at cell {cell}"
+        elif bad == "off":
+            where = f" row {row}" if row_axes else ""
+            assert msg.startswith(f"t{where} sums to 1.0000")
+            assert msg.endswith(f", outside tolerance {tol}")
+        else:
+            total = "nan" if bad == "nan" else "inf"
+            assert msg == f"t has a non-finite entry at cell {cell}, so {name} sums to {total}"
+
+    @pytest.mark.parametrize("shape, row_axes", [((1 << 22,), 0), ((1 << 11, 1 << 11), 1), ((64, 64, 1024), 2)])
+    def test_pass_path_builds_no_cell_sized_mask(self, shape, row_axes):
+        # every row is uniform over a power of two cells, so it sums to 1 exactly;
+        # a boolean mask over the cells alone would be an eighth of the array
+        arr = np.full(shape, 1.0 / math.prod(shape[row_axes:]))
+        tracemalloc.start()
+        try:
+            check_rows(arr, row_axes, "t")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < arr.nbytes // 8
+
+    def test_rows_whose_sum_overflows_name_the_row(self):
+        with pytest.raises(ValueError, match=r"^t row \(1,\) sums to inf, outside tolerance 1e-12$"):
+            check_rows(np.array([[0.5, 0.5], [1e308, 1e308]]), 1, "t")
+
+    def test_empty_array_is_refused(self):
+        with pytest.raises(RowSumError, match="t must have at least one cell"):
+            check_rows(np.zeros((2, 0)), 1, "t", error=RowSumError)
 
 
 class TestIidExtension:

@@ -95,6 +95,22 @@ class TestBlahutArimoto:
     def test_identity_channel(self):
         assert abs(blahut_arimoto(np.eye(4)) - 2.0) <= 1e-10
 
+    def test_nan_row_is_refused_at_once(self):
+        # a NaN row sum used to pass the row check and run every iteration
+        with pytest.raises(
+            ValueError,
+            match=r"channel rows must be pmfs: .*non-finite entry at cell \(0, 0\)",
+        ):
+            blahut_arimoto([[np.nan, 1.0], [0.5, 0.5]])
+
+    def test_rows_keep_their_1e9_tolerance(self):
+        w = bsc(0.1)
+        w[0, 0] += 5e-10
+        assert abs(blahut_arimoto(w) - BA_BSC01) <= 1e-8
+        w[0, 0] += 2e-9
+        with pytest.raises(ValueError, match=r"row \(0,\) sums to"):
+            blahut_arimoto(w)
+
 
 class TestRateBoundsFromJoint:
     def rand_joint(self, rng, sizes=(2, 2, 2, 2, 2)):
