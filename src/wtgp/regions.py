@@ -32,13 +32,13 @@ function likewise has one vertex definition shared by the scalar maximum
 and the batched value.
 
 Searches maximize over the auxiliary distribution with multistart
-projected ascent (Dirichlet(1, ..., 1) restarts, step-halving line
-search, convergence when a pass improves by less than ``tol``).  The
+exponentiated-gradient ascent (Dirichlet(1, ..., 1) restarts, step-halving
+line search, convergence when a pass improves by less than ``tol``).  The
 variable is one vector over a product of simplices: one p(u, x) block on
 the wiretap side, one q(u, x | z) block per state on the GP side, so a
-wiretap search is the one-block case of a GP search.  Each pass takes
-one step over the whole vector, projected block by block.  One driver
-runs every search: a capacity is one key, a frontier one key per
+wiretap search is the one-block case of a GP search.  Each pass scales
+the whole vector by 2^(step * gradient), normalized block by block.
+``_search`` runs every search: a capacity is one key, a frontier one key per
 direction, and all keys' restarts go through one ascent in which each
 row reads its own key's lambdas and stops on its own.
 ``brute_force_oracle`` enumerates a delta-grid over the same
@@ -541,7 +541,7 @@ def _batch_support(r1, r2, rs, lam1: float, lam2: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# projected ascent over a product of simplices
+# multiplicative ascent over a product of simplices
 # ---------------------------------------------------------------------------
 
 
@@ -551,20 +551,22 @@ def _normalize_blocks(theta: np.ndarray, row: int) -> np.ndarray:
     return (blocks / blocks.sum(axis=2, keepdims=True)).reshape(theta.shape)
 
 
-def _project_simplex_rows(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    b, d = v.shape
-    u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    idx = np.arange(1, d + 1)
-    cond = u - css / idx > 0.0
-    rho = d - 1 - np.argmax(cond[:, ::-1], axis=1)
-    tau = css[np.arange(b), rho] / (rho + 1.0)
-    return np.maximum(v - tau[:, None], 0.0)
+def _mirror_candidates(base: np.ndarray, grad: np.ndarray, steps: np.ndarray, row: int):
+    """(n, steps, total) candidates base * 2^(step * (grad - m)), block-normalized.
+
+    m is each block's largest gradient over its positive entries and exponents
+    are clipped at 0, so that entry keeps its mass (no block sums to 0).
+    """
+    b = base.reshape(len(base), 1, -1, row)
+    g = grad.reshape(b.shape)
+    m = np.where(b > 0.0, g, -np.inf).max(axis=3, keepdims=True)
+    cand = b * np.exp2(np.minimum(steps[:, None, None] * (g - m), 0.0))
+    return _normalize_blocks(cand.reshape(-1, base.shape[1]), row).reshape(cand.shape[:2] + (-1,))
 
 
-# first step, halvings per pass and finite-difference half-width of _ascend
-_STEP0 = 1.0
+# first step (exponent per bit of gradient), halvings per pass and
+# finite-difference half-width of _ascend
+_STEP0 = 256.0
 _LADDER = 30
 _FD_EPS = 1e-7
 
@@ -591,15 +593,16 @@ def _ascend(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximize ``f`` over a product of ``row``-wide simplices from each start row.
 
-    Each pass takes one projected step over the whole vector: one
-    central-difference gradient over every coordinate, then one
-    step-halving ladder whose candidates are projected block by block.
-    Returns (values, thetas, active mask): a row still active used up
-    ``max_passes`` while improving.  ``f(theta, keys)`` must accept a
-    (B, total) array (rows need not be normalized: it normalizes per
-    block) and the (B,) keys of its rows, and return (B,) objective
-    values.  Every row moves by its own values alone, with no shared
-    step or stopping rule.
+    Each pass takes one multiplicative step over the whole vector: one
+    central-difference gradient g (bits) over every coordinate, then one
+    step-halving ladder of candidates theta * 2^(step * g), normalized
+    block by block; a row keeps its best candidate and the value ``f``
+    gave it.  Returns (values, thetas, active mask): a row still active
+    used up ``max_passes`` while improving.  ``f(theta, keys)`` must
+    accept a (B, total) array (rows need not be normalized: it normalizes
+    per block) and the (B,) keys of its rows, and return (B,) values.
+    Every row moves by its own values alone, with no shared step or
+    stopping rule.
     """
     theta = starts.astype(np.float64).copy()
     n, total = theta.shape
@@ -619,20 +622,16 @@ def _ascend(
         fv = f(cand, np.repeat(keys[idx], 2 * total)).reshape(len(idx), 2 * total)
         grad = (fv[:, 0::2] - fv[:, 1::2]) / (2.0 * _FD_EPS)
         # step-halving ladder, evaluated in one batch
-        moved = base[:, None, :] + steps[None, :, None] * grad[:, None, :]
-        proj = _project_simplex_rows(moved.reshape(-1, row)).reshape(len(idx), len(steps), total)
-        fv2 = f(proj.reshape(-1, total), np.repeat(keys[idx], len(steps)))
-        fv2 = fv2.reshape(len(idx), len(steps))
+        cand = _mirror_candidates(base, grad, steps, row)
+        fv2 = f(cand.reshape(-1, total), np.repeat(keys[idx], len(steps))).reshape(len(idx), -1)
         best = fv2.argmax(axis=1)
         bestv = fv2[np.arange(len(idx)), best]
         better = bestv > vals[idx] + 1e-15
         upd = idx[better]
-        theta[upd] = proj[better, best[better]]
+        theta[upd] = cand[better, best[better]]
         active[idx] = np.where(better, bestv - vals[idx], 0.0) > params.tol
         vals[upd] = bestv[better]
-    # exact projection so the achievers are valid pmfs
-    theta = _project_simplex_rows(theta.reshape(-1, row)).reshape(n, total)
-    return f(theta, keys), theta, active
+    return vals, theta, active
 
 
 def _dirichlet_starts(
@@ -890,7 +889,7 @@ def region_frontier(
     """Trace the family's frontier by maximizing the support function.
 
     Each direction runs ``params.restarts`` Dirichlet restarts of the
-    projected ascent, all directions in one ascent call stacked by
+    multiplicative ascent, all directions in one ascent call stacked by
     (direction index, restart index).  A restart reads its own direction's
     lambdas and stops on its own, so a direction's sample depends only on
     its place in ``directions``, not on the other directions swept with

@@ -1,14 +1,19 @@
 """End-to-end CLI runs: artifacts, determinism, and error statuses."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wtgp
 from wtgp import cli
 from wtgp.channels import WiretapModel, model_to_dict
 from wtgp.cli import main
 from wtgp.errors import NumericalError
+from wtgp.regions import hausdorff_distance
 
 
 def bsc(p):
@@ -148,6 +153,45 @@ class TestRegion:
             )
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_blas_and_simd_kernels_agree_within_tolerance(self, tmp_path):
+        # artifacts are byte-identical only on one machine with one numpy/BLAS
+        # build: the OpenBLAS kernel and numpy's SIMD dispatch move floats in
+        # the last bits.  Across these kernels support values have differed by
+        # about 5e-13 at most, so 1e-10 bounds rounding noise, not a change
+        # in what the search finds.
+        rng = np.random.default_rng(0)  # criterion 05's random SD fixture
+        f, rows = rng.integers(0, 2, size=2), rng.dirichlet(np.ones(4), size=2)
+        law = np.zeros((2, 2, 2, 2))
+        for x in range(2):
+            law[x, f[x]] = rows[x].reshape(2, 2)
+        channel = write_json(tmp_path / "sd.json", model_to_dict(WiretapModel(law=law)))
+        params = write_json(
+            tmp_path / "search.json", {"restarts": 8, "max_passes": 200, "directions": 9}
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(wtgp.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        base = dict(os.environ, PYTHONPATH=path)
+        base.pop("OPENBLAS_CORETYPE", None)
+        docs = []
+        for tag, extra in [
+            ("auto", {}),
+            ("prescott", {"OPENBLAS_CORETYPE": "Prescott"}),
+            ("no-avx512", {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"}),
+        ]:
+            out = tmp_path / f"reg_{tag}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "wtgp.cli", "region", "--channel", channel,
+                 "--params", params, "--family", "SD-WT", "--out", str(out)],
+                env={**base, **extra}, check=True, capture_output=True,
+            )
+            docs.append(json.loads(out.with_suffix(".json").read_text(encoding="utf-8")))
+        ref = docs[0]
+        for doc in docs[1:]:
+            for s, t in zip(ref["supports"], doc["supports"], strict=True):
+                assert abs(s["support_value"] - t["support_value"]) <= 1e-10
+            pts = [[(b["r1"], b["r2"]) for b in d["boundary"]] for d in (ref, doc)]
+            assert hausdorff_distance(*pts) <= 1e-10
 
     def test_family_needs_matching_class(self, capsys, pp_channel, quick_search):
         status, out, err = run(
