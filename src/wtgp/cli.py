@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -378,7 +379,10 @@ def _run_compare(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: each ``parse_args`` call starts from
+    a fresh namespace, so no value carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="wtgp",
         description="finite-alphabet wiretap and Gelfand-Pinsker workbench",

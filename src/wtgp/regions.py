@@ -28,8 +28,8 @@ it.  The sum-down provider sums a prebuilt joint down, for
 ``rate_bounds_from_joint``: given the same numeric joint, both sides
 therefore run the identical code path and their bounds agree bitwise;
 that equality is the single-letter face of the analogy.  The support
-function likewise has one vertex definition shared by the scalar maximum
-and the batched value.
+function likewise has one vertex definition shared by the scalar maximum,
+the batched value and the gradient's weights.
 
 Searches maximize over the auxiliary distribution with multistart
 exponentiated-gradient ascent (Dirichlet(1, ..., 1) restarts, step-halving
@@ -37,7 +37,10 @@ line search, convergence when a pass improves by less than ``tol``).  The
 variable is one vector over a product of simplices: one p(u, x) block on
 the wiretap side, one q(u, x | z) block per state on the GP side, so a
 wiretap search is the one-block case of a GP search.  Each pass scales
-the whole vector by 2^(step * gradient), normalized block by block.
+the whole vector by 2^(step * gradient), normalized block by block.  The
+gradient is exact: the model provider applies each term marginal's
+transpose to -log2 m, and a support objective weighs its bounds by the
+vertex piece the support value picks.
 ``_search`` runs every search: a capacity is one key, a frontier one key per
 direction, and all keys' restarts go through one ascent in which each
 row reads its own key's lambdas and stops on its own.
@@ -315,11 +318,10 @@ def _summed_down(j: np.ndarray) -> Marginals:
     return marginal
 
 
-def _model_marginals(
-    model: WiretapModel | GpModel, theta: np.ndarray, u_size: int
-) -> Marginals:
+class _ModelMarginals:
     """Marginals of the single-letter joints of flat auxiliary rows, each
-    built from the auxiliary and the law without the joint.
+    built from the auxiliary and the law without the joint, and their
+    adjoints.
 
     The rows are held as blocks (b, s, u, x) and the law as (s, x, outs).
     On the GP side s is the state z, shared by both factors, and the law
@@ -327,37 +329,67 @@ def _model_marginals(
     among its outputs.  A term's marginal sums the law down to the outputs
     it keeps and, when it drops U, sums u out of the blocks; then one
     product contracts x: a matrix product (over s too when the term drops
-    Z), or a broadcast product when the term keeps X.
+    Z), or a broadcast product when the term keeps X.  Each marginal is a
+    fixed linear map of the rows, and ``adjoint`` applies its transpose.
     """
-    b = len(theta)
-    if isinstance(model, WiretapModel):
-        sizes = dict(zip((_X, _Y1, _Y2, _Z), model.law.shape))
-        law, outs = model.law[None], (_Y1, _Y2, _Z)
-        blocks = theta.reshape(b, 1, u_size, model.x_size)
-    else:
-        sizes = dict(zip((_X, _Z, _Y1, _Y2), model.law.shape))
-        law = (model.law * model.state_dist.mass[:, None, None]).transpose(1, 0, 2, 3)
-        outs = (_Y1, _Y2)
-        blocks = theta.reshape(b, model.z_size, u_size, model.x_size)
-    sizes[_U] = u_size
-    no_u = blocks.sum(axis=2, keepdims=True)
 
-    def marginal(keep: tuple[int, ...]) -> np.ndarray:
-        p = blocks if _U in keep else no_u
-        drop = tuple(2 + i for i, ax in enumerate(outs) if ax not in keep)
-        lk = law.sum(axis=drop) if drop else law  # (s, x, kept outs)
+    def __init__(self, model: WiretapModel | GpModel, theta: np.ndarray, u_size: int):
+        b = len(theta)
+        if isinstance(model, WiretapModel):
+            sizes = dict(zip((_X, _Y1, _Y2, _Z), model.law.shape))
+            self.law, self.outs = model.law[None], (_Y1, _Y2, _Z)
+            self.blocks = theta.reshape(b, 1, u_size, model.x_size)
+        else:
+            sizes = dict(zip((_X, _Z, _Y1, _Y2), model.law.shape))
+            law = model.law * model.state_dist.mass[:, None, None]
+            self.law, self.outs = law.transpose(1, 0, 2, 3), (_Y1, _Y2)
+            self.blocks = theta.reshape(b, model.z_size, u_size, model.x_size)
+        sizes[_U] = u_size
+        self.sizes = sizes
+        self.no_u = self.blocks.sum(axis=2, keepdims=True)
+        self.laws: dict[tuple[int, ...], np.ndarray] = {}
+
+    def _kept_law(self, keep: tuple[int, ...]) -> np.ndarray:
+        """The law summed down to the outputs ``keep`` keeps: (s, x, kept outs)."""
+        drop = tuple(2 + i for i, ax in enumerate(self.outs) if ax not in keep)
+        if drop not in self.laws:
+            self.laws[drop] = self.law.sum(axis=drop) if drop else self.law
+        return self.laws[drop]
+
+    def __call__(self, keep: tuple[int, ...]) -> np.ndarray:
+        p = self.blocks if _U in keep else self.no_u
+        lk = self._kept_law(keep)
         s, nx = lk.shape[:2]
         if _X in keep:  # (b, s, u, x, outs)
             m = p.reshape(p.shape + (1,) * (lk.ndim - 2)) * lk[None, :, None]
-            m = np.moveaxis(m, 1, -1) if _Z in keep else m.sum(axis=1)
+            m = m.transpose(0, *range(2, m.ndim), 1) if _Z in keep else m.sum(axis=1)
         elif _Z in keep:  # (s, b * u, outs)
             m = p.transpose(1, 0, 2, 3).reshape(s, -1, nx) @ lk.reshape(s, nx, -1)
-            m = np.moveaxis(m, 0, -1)
+            m = m.transpose(1, 2, 0)
         else:
             m = p.transpose(0, 2, 1, 3).reshape(-1, s * nx) @ lk.reshape(s * nx, -1)
-        return m.reshape((b,) + tuple(sizes[i] for i in sorted(keep)))
+        return m.reshape((len(p),) + tuple(self.sizes[i] for i in sorted(keep)))
 
-    return marginal
+    def adjoint(self, keep: tuple[int, ...], g: np.ndarray) -> np.ndarray:
+        """The transpose of ``self(keep)`` applied to a (b, ...) batch ``g``
+        shaped like that marginal: the (b, s, u, x) blocks, or (b, s, 1, x)
+        when the term drops U (its value broadcasts over u)."""
+        b, s, u, nx = (self.blocks if _U in keep else self.no_u).shape
+        lk = self._kept_law(keep)
+        outs = lk.shape[2:]
+        if _X in keep:  # a sum over the kept outputs
+            if _Z in keep:
+                g = g.reshape((b, u, nx) + outs + (s,))
+                g = g.transpose(0, g.ndim - 1, *range(1, g.ndim - 1))
+            else:
+                g = g.reshape((b, 1, u, nx) + outs)
+            return (g * lk[None, :, None]).sum(axis=tuple(range(4, g.ndim)))
+        if _Z in keep:  # (s, b * u, outs) times lk transposed
+            g = g.reshape(b * u, -1, s).transpose(2, 0, 1)
+            p = g @ lk.reshape(s, nx, -1).transpose(0, 2, 1)
+            return p.reshape(s, b, u, nx).transpose(1, 0, 2, 3)
+        p = g.reshape(b * u, -1) @ lk.reshape(s * nx, -1).T
+        return p.reshape(b, u, s, nx).transpose(0, 2, 1, 3)
 
 
 def _batch_entropy(m: np.ndarray) -> np.ndarray:
@@ -484,7 +516,7 @@ def eval_rate_bounds(
             f"auxiliary cardinality {aux.u_size} exceeds the default cap {cap}; "
             "set allow_large_u to override"
         )
-    marginal = _model_marginals(model, _aux_row(model, aux), aux.u_size)
+    marginal = _ModelMarginals(model, _aux_row(model, aux), aux.u_size)
     return _rate_bounds(family, *_rates(_family(family)[1], marginal, model.coop_capacity))
 
 
@@ -500,17 +532,18 @@ class SupportPoint:
     r2: float
 
 
-def _support_vertices(r1, r2, rs):
+def _support_vertices(r1, r2, rs, lo=np.minimum, hi=np.maximum, zero=0.0):
     """The two greedy vertices of {0<=R1<=r1, 0<=R2<=r2, R1+R2<=rs}.
 
     Filling R1 first, or R2 first, gives the two vertices that dominate
     every other one componentwise, so a nonnegative direction attains
     its support maximum (and its lexicographic tie-break) at one of
     them.  ``r1``, ``r2`` and ``rs`` are clamped bounds, floats or arrays;
-    ``rs`` is inf without a sum constraint.
+    ``rs`` is inf without a sum constraint.  ``lo``, ``hi`` and ``zero``
+    stand in for the minimum, the maximum and 0 (see ``_support_weights``).
     """
-    r1_first = (np.minimum(r1, rs), np.minimum(r2, np.maximum(rs - r1, 0.0)))
-    r2_first = (np.minimum(r1, np.maximum(rs - r2, 0.0)), np.minimum(r2, rs))
+    r1_first = (lo(r1, rs), lo(r2, hi(rs - r1, zero)))
+    r2_first = (lo(r1, hi(rs - r2, zero)), lo(r2, rs))
     return r1_first, r2_first
 
 
@@ -531,13 +564,41 @@ def support_maximum(bounds: RateBounds, lam1: float, lam2: float) -> SupportPoin
     return SupportPoint(value=float(value), r1=float(r1), r2=float(r2))
 
 
-def _batch_support(r1, r2, rs, lam1: float, lam2: float) -> np.ndarray:
+def _batch_support(
+    r1, r2, rs, lam1, lam2, lo=np.minimum, hi=np.maximum, zero=0.0, inf=math.inf
+) -> np.ndarray:
     """Support value per row of raw batched bounds (clamped here)."""
-    r1 = np.maximum(r1, 0.0)
-    r2 = np.maximum(r2, 0.0)
-    rs = math.inf if rs is None else np.maximum(rs, 0.0)
-    (a1, b1), (a2, b2) = _support_vertices(r1, r2, rs)
-    return np.maximum(lam1 * a1 + lam2 * b1, lam1 * a2 + lam2 * b2)
+    r1 = hi(r1, zero)
+    r2 = hi(r2, zero)
+    rs = inf if rs is None else hi(rs, zero)
+    (a1, b1), (a2, b2) = _support_vertices(r1, r2, rs, lo, hi, zero)
+    return hi(lam1 * a1 + lam2 * b1, lam1 * a2 + lam2 * b2)
+
+
+def _support_weights(r1, r2, rs, lam1, lam2) -> np.ndarray:
+    """(3, rows) weights of the raw (r1, r2, r_sum) in the support value.
+
+    The gradient of the vertex piece ``_batch_support`` picks: each bound
+    runs through it as a stack of its value and its coefficients on
+    (r1, r2, r_sum), every minimum and maximum keeps the whole stack of the
+    argument it picks (the first on a tie), and the stack comes out as the
+    value and the weights of its piece.  A clamped bound picks 0, whose
+    coefficients are 0.
+    """
+
+    def bound(v, k):  # the value, then its coefficients on (r1, r2, r_sum)
+        return np.stack([v] + [np.full_like(v, float(i == k)) for i in range(3)])
+
+    def lo(a, b):
+        return np.where(a[0] <= b[0], a, b)
+
+    def hi(a, b):
+        return np.where(a[0] >= b[0], a, b)
+
+    zero, inf = bound(np.zeros_like(r1), None), bound(np.full_like(r1, np.inf), None)
+    rs = None if rs is None else bound(rs, 2)
+    value = _batch_support(bound(r1, 0), bound(r2, 1), rs, lam1, lam2, lo, hi, zero, inf)
+    return value[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +625,9 @@ def _mirror_candidates(base: np.ndarray, grad: np.ndarray, steps: np.ndarray, ro
     return _normalize_blocks(cand.reshape(-1, base.shape[1]), row).reshape(cand.shape[:2] + (-1,))
 
 
-# first step (exponent per bit of gradient), halvings per pass and
-# finite-difference half-width of _ascend
+# first step (exponent per bit of gradient) and halvings per pass of _ascend
 _STEP0 = 256.0
 _LADDER = 30
-_FD_EPS = 1e-7
 
 
 @dataclasses.dataclass(frozen=True)
@@ -586,6 +645,7 @@ class SearchParams:
 
 def _ascend(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    grad: Callable[[np.ndarray, np.ndarray], np.ndarray],
     row: int,
     starts: np.ndarray,
     keys: np.ndarray,
@@ -594,35 +654,31 @@ def _ascend(
     """Maximize ``f`` over a product of ``row``-wide simplices from each start row.
 
     Each pass takes one multiplicative step over the whole vector: one
-    central-difference gradient g (bits) over every coordinate, then one
-    step-halving ladder of candidates theta * 2^(step * g), normalized
-    block by block; a row keeps its best candidate and the value ``f``
-    gave it.  Returns (values, thetas, active mask): a row still active
-    used up ``max_passes`` while improving.  ``f(theta, keys)`` must
-    accept a (B, total) array (rows need not be normalized: it normalizes
-    per block) and the (B,) keys of its rows, and return (B,) values.
-    Every row moves by its own values alone, with no shared step or
-    stopping rule.
+    exact gradient g (bits) from ``grad``, then one step-halving ladder of
+    candidates theta * 2^(step * g), normalized block by block; a row
+    keeps its best candidate and the value ``f`` gave it.  Returns
+    (values, thetas, active mask): a row still active used up
+    ``max_passes`` while improving.  ``f(theta, keys)`` must accept a
+    (B, total) array (rows need not be normalized: it normalizes per
+    block) and the (B,) keys of its rows, and return (B,) values;
+    ``grad(theta, keys)`` returns the (B, total) gradient of ``f``'s
+    objective at rows it is given block-normalized, as every start and
+    candidate is, up to a constant per block, which the step ignores.  Every
+    row moves by its own values alone, with no shared step or stopping
+    rule.
     """
     theta = starts.astype(np.float64).copy()
     n, total = theta.shape
     vals = f(theta, keys)
     active = np.ones(n, dtype=bool)
     steps = _STEP0 * 0.5 ** np.arange(_LADDER)
-    # central finite differences: coordinate j moves by +eps in row 2j, -eps in row 2j+1
-    pert = np.zeros((2 * total, total))
-    pert[0::2] = np.diag(np.full(total, _FD_EPS))
-    pert[1::2] = np.diag(np.full(total, -_FD_EPS))
     passes = 0
     while active.any() and passes < params.max_passes:
         passes += 1
         idx = np.flatnonzero(active)
         base = theta[idx]
-        cand = (base[:, None, :] + pert[None, :, :]).reshape(-1, total)
-        fv = f(cand, np.repeat(keys[idx], 2 * total)).reshape(len(idx), 2 * total)
-        grad = (fv[:, 0::2] - fv[:, 1::2]) / (2.0 * _FD_EPS)
         # step-halving ladder, evaluated in one batch
-        cand = _mirror_candidates(base, grad, steps, row)
+        cand = _mirror_candidates(base, grad(base, keys[idx]), steps, row)
         fv2 = f(cand.reshape(-1, total), np.repeat(keys[idx], len(steps))).reshape(len(idx), -1)
         best = fv2.argmax(axis=1)
         bestv = fv2[np.arange(len(idx)), best]
@@ -667,12 +723,55 @@ def _score(
     parts = [
         _rates(objective, m, model.coop_capacity) if kind else _evaluate(m, (objective,))
         for m in (
-            _model_marginals(model, theta[i : i + step], u_size)
+            _ModelMarginals(model, theta[i : i + step], u_size)
             for i in range(0, len(theta), step)
         )
     ]
     vals = [None if v[0] is None else np.concatenate(v)[:, None] for v in zip(*parts)]
     return _batch_support(*vals, *lam) if kind else vals[0]
+
+
+def _gradient(
+    model: WiretapModel | GpModel,
+    u_size: int,
+    objective: str,
+    theta: np.ndarray,
+    lam: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """(rows, total) gradient (bits) of ``_score``'s values at raw rows.
+
+    Entropy term H(A theta) has gradient A^T (-log2 m - 1/ln 2) with m =
+    A theta, empty cells taking 0.  The 1/ln 2 parts cancel: A^T 1 is the
+    same vector for every term (1 on the wiretap side, q(z) on the GP
+    side) and the signs of every expression sum to 0, so only -log2 m is
+    mapped back.  Each distinct marginal enters once, with the sum of its
+    signs in the expressions weighted by their per-row weights.  A
+    capacity expression weighs 1; a structural kind weighs its (r1, r2,
+    r_sum) by ``_support_weights`` at ``lam``, (rows, 1) arrays of one
+    direction per row.  Run in ``_chunk_rows`` chunks, as ``_score``.
+    """
+    step = _chunk_rows(model, u_size)
+    kind = objective in _KIND_ROWS
+    names = _KIND_ROWS[objective] if kind else (objective,)
+    out = []
+    for i in range(0, len(theta), step):
+        chunk = theta[i : i + step]
+        marginals = _ModelMarginals(model, chunk, u_size)
+        m = {keep: marginals(keep) for name in names if name for _, keep in _EXPRESSIONS[name]}
+        weights = (1.0,)
+        if kind:
+            r = _rates(objective, m.__getitem__, model.coop_capacity)
+            weights = _support_weights(*r, *(v[i : i + step, 0] for v in lam))
+        coef = dict.fromkeys(m, 0.0)
+        for name, w in zip(names, weights):
+            for sign, keep in _EXPRESSIONS[name] if name else ():
+                coef[keep] = coef[keep] + sign * w
+        grad = np.zeros(marginals.blocks.shape)
+        for keep, mk in m.items():
+            c = np.reshape(coef[keep], (-1,) + (1,) * (mk.ndim - 1))
+            grad += marginals.adjoint(keep, np.log2(np.where(mk > 0.0, mk, 1.0)) * -c)
+        out.append(grad.reshape(len(chunk), -1))
+    return np.concatenate(out)
 
 
 class _Winner(NamedTuple):
@@ -702,13 +801,18 @@ def _search(
     lam = None if directions is None else np.asarray(directions, dtype=np.float64)
     n_keys = 1 if lam is None else len(lam)
 
+    def per_row(keys: np.ndarray):
+        return None if lam is None else (lam[keys, :1], lam[keys, 1:])
+
     def f(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        per_row = None if lam is None else (lam[keys, :1], lam[keys, 1:])
-        return _score(model, u_size, objective, _normalize_blocks(theta, row), per_row)[:, 0]
+        return _score(model, u_size, objective, _normalize_blocks(theta, row), per_row(keys))[:, 0]
+
+    def grad(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        return _gradient(model, u_size, objective, theta, per_row(keys))
 
     starts = [_dirichlet_starts(params.seed, k, restarts, row, n_blocks) for k in range(n_keys)]
     keys = np.repeat(np.arange(n_keys), restarts)
-    vals, thetas, active = _ascend(f, row, np.concatenate(starts), keys, params)
+    vals, thetas, active = _ascend(f, grad, row, np.concatenate(starts), keys, params)
     winners = []
     for lo in range(0, len(vals), restarts):  # the rows of one key
         best = lo + int(np.argmax(vals[lo : lo + restarts]))
@@ -1098,7 +1202,7 @@ def _sd_pair(p_vtx: JointPmf, model: WiretapModel) -> tuple[RateBounds, RateBoun
         raise ShapeError("x alphabet mismatch")
 
     def sd(p_ux: np.ndarray) -> RateBounds:
-        marginal = _model_marginals(model, p_ux.reshape(1, -1), p_ux.shape[0])
+        marginal = _ModelMarginals(model, p_ux.reshape(1, -1), p_ux.shape[0])
         return _rate_bounds("SD-WT", *_rates("SD", marginal, None))
 
     nv, nt, nx = p_vtx.mass.shape

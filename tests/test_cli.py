@@ -229,6 +229,28 @@ class TestTransform:
         assert status == 5
         assert json.loads(err)["error"]["code"] == "channel-format"
 
+    def test_second_call_does_not_inherit_the_first_calls_qz(self, capsys, tmp_path, product_channel):
+        # the parser is built once per process; a --qz given to one call
+        # must not become the default of the next
+        qz = write_json(tmp_path / "qz.json", {"dist": [0.9, 0.1]})
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        status, _, _ = run(
+            capsys, "transform", "--channel", product_channel, "--qz", qz, "--out", str(first)
+        )
+        assert status == 0
+        status, _, _ = run(capsys, "transform", "--channel", product_channel, "--out", str(second))
+        assert status == 0
+        assert json.loads(first.read_text(encoding="utf-8"))["state_dist"] == [0.9, 0.1]
+        fresh = tmp_path / "fresh.json"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(wtgp.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "wtgp.cli", "transform", "--channel", product_channel,
+             "--out", str(fresh)],
+            env=dict(os.environ, PYTHONPATH=path), check=True, capture_output=True,
+        )
+        assert second.read_bytes() == fresh.read_bytes()
+
     def test_rejects_gp_input(self, capsys, tmp_path):
         doc = {
             "kind": "gp",

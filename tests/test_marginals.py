@@ -81,7 +81,7 @@ def test_model_marginals_match_the_summed_joint(case):
     z_size = model.z_size if side == "gp" else 1
     aux = aux_from_array(side, theta, nu, model.x_size, z_size=z_size, allow_large_u=True)
     joint = single_letter_joint(model, aux).mass[None]
-    marginal = regions._model_marginals(model, theta[None], nu)
+    marginal = regions._ModelMarginals(model, theta[None], nu)
     summed = regions._summed_down(joint)
     # every nonempty set of kept axes, not only the table's terms
     for keep in KEEPS:
