@@ -20,16 +20,16 @@ q(z) * q(u, x | z) * law(y1, y2 | x, z) on the GP side.
 
 Every bound above, the secrecy objective I(U;Y1) - I(U;Z) and the
 informed objective I(X;Y1|Z) live in one table of signed marginal-entropy
-terms, evaluated by one kernel over a batch of rows.  The kernel asks a
-marginal provider for each term's marginal.  The model provider builds
-it from the auxiliary rows and the law alone, never the full joint; the
-searches, the grid oracle and ``eval_rate_bounds`` (a batch of one) use
-it.  The sum-down provider sums a prebuilt joint down, for
-``rate_bounds_from_joint``: given the same numeric joint, both sides
-therefore run the identical code path and their bounds agree bitwise;
-that equality is the single-letter face of the analogy.  The support
-function likewise has one vertex definition shared by the scalar maximum,
-the batched value and the gradient's weights.
+terms.  A term's marginal is the joint summed down to its axes; it is
+linear in the flat auxiliary row, so a search compiles its terms once
+into linear maps (``_Map``).  One entropy/sign kernel turns marginals
+into values.  The searches and the grid oracle feed it their rows' mapped
+marginals; ``rate_bounds_from_joint`` and ``eval_rate_bounds`` feed it a
+joint summed down, so given the same numeric joint both sides run the
+identical code path and their bounds agree bitwise; that equality is the
+single-letter face of the analogy.  The support function likewise has one
+vertex definition shared by the scalar maximum, the batched value and the
+gradient's weights.
 
 Searches maximize over the auxiliary distribution with multistart
 exponentiated-gradient ascent (Dirichlet(1, ..., 1) restarts, step-halving
@@ -38,9 +38,9 @@ variable is one vector over a product of simplices: one p(u, x) block on
 the wiretap side, one q(u, x | z) block per state on the GP side, so a
 wiretap search is the one-block case of a GP search.  Each pass scales
 the whole vector by 2^(step * gradient), normalized block by block.  The
-gradient is exact: the model provider applies each term marginal's
-transpose to -log2 m, and a support objective weighs its bounds by the
-vertex piece the support value picks.
+gradient is exact: the maps' transposes take -log2 m back, each cell
+weighed by its term's signs, and a support objective weighs its bounds by
+the vertex piece the support value picks.
 ``_search`` runs every search: a capacity is one key, a frontier one key per
 direction, and all keys' restarts go through one ascent in which each
 row reads its own key's lambdas and stops on its own.
@@ -48,9 +48,9 @@ row reads its own key's lambdas and stops on its own.
 domain and is the independent reference the searches are tested
 against; a wiretap point is the one-block (|Z| = 1) case of the GP
 product grid.  The ascent and the oracle score rows with one evaluator,
-in chunks of rows whose joints would hold at most ``_CHUNK_CELLS``
-cells.  Negative bound values are clamped to zero for reporting; raw
-values are preserved on every ``RateBounds``.
+in chunks of rows whose marginals hold at most ``_CHUNK_CELLS`` cells.
+Negative bound values are clamped to zero for reporting; raw values are
+preserved on every ``RateBounds``.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -78,9 +77,10 @@ FAMILIES: dict[str, tuple[str, str]] = {
 }
 
 DEFAULT_GRID_BUDGET = 50_000_000
-# rows scored at once in the searches and the oracle: their joints would hold
-# at most this many cells, so no term marginal built for them holds more
-_CHUNK_CELLS = 1 << 22
+# the most cells one chunk's (rows, cells) marginals may hold in the searches
+# and the oracle: measured, larger chunks raise the search's peak memory and
+# make each chunk-sized temporary cost more to allocate than to fill
+_CHUNK_CELLS = 1 << 15
 
 
 def family_side(family: str) -> str:
@@ -304,138 +304,140 @@ _SECRECY = "I(U;Y1)-I(U;Z)"
 _INFORMED = "I(X;Y1|Z)"
 
 
-# a term's marginal: its kept axes -> the (b, ...) marginal of each batch row
-Marginals = Callable[[tuple[int, ...]], np.ndarray]
+def _summed_down(j: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """The (b, ...) marginal on the axes ``keep`` of a (b, u, x, y1, y2, z)
+    joint batch: the one definition of a term's marginal."""
+    drop = tuple(i for i in range(1, j.ndim) if i not in keep)
+    return j.sum(axis=drop) if drop else j
 
 
-def _summed_down(j: np.ndarray) -> Marginals:
-    """Marginals of a prebuilt (b, u, x, y1, y2, z) joint batch, summed down."""
-
-    def marginal(keep: tuple[int, ...]) -> np.ndarray:
-        drop = tuple(i for i in range(1, j.ndim) if i not in keep)
-        return j.sum(axis=drop) if drop else j
-
-    return marginal
+def _stacked(j: np.ndarray, keeps) -> np.ndarray:
+    """(cells, b) marginals of a joint batch on each of ``keeps``, stacked."""
+    parts = [_summed_down(j, k).reshape(len(j), -1).T for k in keeps]
+    return np.concatenate(parts or [np.zeros((0, len(j)))])
 
 
-class _ModelMarginals:
-    """Marginals of the single-letter joints of flat auxiliary rows, each
-    built from the auxiliary and the law without the joint, and their
-    adjoints.
+class _Terms(NamedTuple):
+    """The distinct entropy terms of some expressions, their cells stacked
+    (the terms that keep U, then the rest); a term's entropy does not
+    depend on the order of its own cells."""
 
-    The rows are held as blocks (b, s, u, x) and the law as (s, x, outs).
-    On the GP side s is the state z, shared by both factors, and the law
-    holds q(z); a wiretap row is the one-block case, whose law keeps z
-    among its outputs.  A term's marginal sums the law down to the outputs
-    it keeps and, when it drops U, sums u out of the blocks; then one
-    product contracts x: a matrix product (over s too when the term drops
-    Z), or a broadcast product when the term keeps X.  Each marginal is a
-    fixed linear map of the rows, and ``adjoint`` applies its transpose.
+    names: tuple[str | None, ...]
+    keeps: tuple[tuple[int, ...], ...]  # the distinct terms, in layout order
+    starts: np.ndarray  # the first cell of each term
+    signs: np.ndarray  # (names, cells): each cell's term's sign per expression
+
+
+def _terms(names: Sequence[str | None], shape: tuple[int, ...]) -> _Terms:
+    """The named expressions' terms on joints of (u, x, y1, y2, z) ``shape``."""
+    used = dict.fromkeys(k for name in names if name for _, k in _EXPRESSIONS[name])
+    keeps = tuple(k for k in used if _U in k) + tuple(k for k in used if _U not in k)
+    widths = [math.prod(shape[i - 1] for i in keep) for keep in keeps]
+    signs = np.zeros((len(names), len(keeps)))
+    for row, name in zip(signs, names):
+        for sign, keep in _EXPRESSIONS[name] if name else ():
+            row[keeps.index(keep)] += sign
+    starts = np.cumsum([0] + widths)[:-1]
+    return _Terms(tuple(names), keeps, starts, np.repeat(signs, widths, axis=1))
+
+
+def _blocks(model: WiretapModel | GpModel) -> int:
+    """Simplex blocks of a flat row: one per state on the GP side."""
+    return model.z_size if isinstance(model, GpModel) else 1
+
+
+class _Map(NamedTuple):
+    """A search's terms as linear maps of its flat (z, u, x) rows: the
+    marginals of the identity (z, x) rows' joints at |U| = 1.  A term that
+    keeps U maps each u block alone (``kept``), one that drops U the whole
+    row (``dropped``, repeated over u), so neither grows faster than |U|.
+    ``_marginals`` applies them and ``_adjoint`` their transposes."""
+
+    terms: _Terms
+    kept: np.ndarray  # (cells per u, z * x)
+    dropped: np.ndarray  # (cells, total)
+
+    @property
+    def chunk(self) -> int:
+        """Rows whose (cells, rows) marginals hold at most ``_CHUNK_CELLS`` cells."""
+        return max(1, _CHUNK_CELLS // self.terms.signs.shape[1])
+
+
+def _term_map(model: WiretapModel | GpModel, u_size: int, objective: str) -> _Map:
+    """The map of ``objective`` (a structural kind's three bounds or one
+    capacity expression) on flat (z, u, x) rows of ``u_size``."""
+    shape = (u_size, model.x_size, model.y1_size, model.y2_size, model.z_size)
+    terms = _terms(_KIND_ROWS.get(objective, (objective,)), shape)
+    blocks, x = _blocks(model), model.x_size
+    j = _joint_batch(model, np.eye(blocks * x), 1)
+    kept = _stacked(j, [k for k in terms.keeps if _U in k])
+    dropped = _stacked(j, [k for k in terms.keeps if _U not in k]).reshape(-1, blocks, 1, x)
+    dropped = np.broadcast_to(dropped, (len(dropped), blocks, u_size, x))
+    return _Map(terms, kept, dropped.reshape(len(dropped), blocks * u_size * x))
+
+
+def _marginals(model: WiretapModel | GpModel, theta: np.ndarray, a: _Map) -> np.ndarray:
+    """(cells, rows) marginals of flat rows through the map ``a``: the u
+    blocks of (z, x) cells of the rows, u-major, by ``a.kept`` (a term that
+    keeps U has its cells as (rest, u), u fastest); the rows by
+    ``a.dropped``."""
+    (rows, total), (kept, k) = theta.shape, a.kept.shape
+    u = total // k
+    m = np.empty((kept * u + len(a.dropped), rows))
+    t = theta.reshape(rows, _blocks(model), u, -1).transpose(2, 0, 1, 3).reshape(u * rows, k)
+    np.matmul(a.kept, t.T, out=m[: kept * u].reshape(kept, u * rows))
+    np.matmul(a.dropped, theta.T, out=m[kept * u :])
+    return m
+
+
+def _adjoint(model: WiretapModel | GpModel, g: np.ndarray, a: _Map) -> np.ndarray:
+    """(rows, total): the transpose of ``_marginals`` applied to (cells,
+    rows) values ``g``."""
+    (kept, k), rows = a.kept.shape, g.shape[1]
+    u = a.dropped.shape[1] // k
+    out = g[: kept * u].reshape(kept, u * rows).T @ a.kept
+    out = out.reshape(u, rows, _blocks(model), -1).transpose(1, 2, 0, 3).reshape(rows, -1)
+    out += g[kept * u :].T @ a.dropped
+    return out
+
+
+def _log2(m: np.ndarray) -> np.ndarray:
+    """log2 m as a new array, empty cells taking log2(1) = 0 (0 log 0 = 0),
+    computed in place: a fresh chunk-sized temporary costs more than that."""
+    out = np.where(m > 0.0, m, 1.0)
+    return np.log2(out, out=out)
+
+
+def _entropies(m: np.ndarray, logs: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """(terms, rows) entropies (bits) of (cells, rows) stacked marginals,
+    given their ``_log2``.
+
+    Each term's cells are summed in one fixed order (``np.add.reduceat``,
+    not a BLAS product), so the sums do not depend on the BLAS kernel.
     """
-
-    def __init__(self, model: WiretapModel | GpModel, theta: np.ndarray, u_size: int):
-        b = len(theta)
-        if isinstance(model, WiretapModel):
-            sizes = dict(zip((_X, _Y1, _Y2, _Z), model.law.shape))
-            self.law, self.outs = model.law[None], (_Y1, _Y2, _Z)
-            self.blocks = theta.reshape(b, 1, u_size, model.x_size)
-        else:
-            sizes = dict(zip((_X, _Z, _Y1, _Y2), model.law.shape))
-            law = model.law * model.state_dist.mass[:, None, None]
-            self.law, self.outs = law.transpose(1, 0, 2, 3), (_Y1, _Y2)
-            self.blocks = theta.reshape(b, model.z_size, u_size, model.x_size)
-        sizes[_U] = u_size
-        self.sizes = sizes
-        self.no_u = self.blocks.sum(axis=2, keepdims=True)
-        self.laws: dict[tuple[int, ...], np.ndarray] = {}
-
-    def _kept_law(self, keep: tuple[int, ...]) -> np.ndarray:
-        """The law summed down to the outputs ``keep`` keeps: (s, x, kept outs)."""
-        drop = tuple(2 + i for i, ax in enumerate(self.outs) if ax not in keep)
-        if drop not in self.laws:
-            self.laws[drop] = self.law.sum(axis=drop) if drop else self.law
-        return self.laws[drop]
-
-    def __call__(self, keep: tuple[int, ...]) -> np.ndarray:
-        p = self.blocks if _U in keep else self.no_u
-        lk = self._kept_law(keep)
-        s, nx = lk.shape[:2]
-        if _X in keep:  # (b, s, u, x, outs)
-            m = p.reshape(p.shape + (1,) * (lk.ndim - 2)) * lk[None, :, None]
-            m = m.transpose(0, *range(2, m.ndim), 1) if _Z in keep else m.sum(axis=1)
-        elif _Z in keep:  # (s, b * u, outs)
-            m = p.transpose(1, 0, 2, 3).reshape(s, -1, nx) @ lk.reshape(s, nx, -1)
-            m = m.transpose(1, 2, 0)
-        else:
-            m = p.transpose(0, 2, 1, 3).reshape(-1, s * nx) @ lk.reshape(s * nx, -1)
-        return m.reshape((len(p),) + tuple(self.sizes[i] for i in sorted(keep)))
-
-    def adjoint(self, keep: tuple[int, ...], g: np.ndarray) -> np.ndarray:
-        """The transpose of ``self(keep)`` applied to a (b, ...) batch ``g``
-        shaped like that marginal: the (b, s, u, x) blocks, or (b, s, 1, x)
-        when the term drops U (its value broadcasts over u)."""
-        b, s, u, nx = (self.blocks if _U in keep else self.no_u).shape
-        lk = self._kept_law(keep)
-        outs = lk.shape[2:]
-        if _X in keep:  # a sum over the kept outputs
-            if _Z in keep:
-                g = g.reshape((b, u, nx) + outs + (s,))
-                g = g.transpose(0, g.ndim - 1, *range(1, g.ndim - 1))
-            else:
-                g = g.reshape((b, 1, u, nx) + outs)
-            return (g * lk[None, :, None]).sum(axis=tuple(range(4, g.ndim)))
-        if _Z in keep:  # (s, b * u, outs) times lk transposed
-            g = g.reshape(b * u, -1, s).transpose(2, 0, 1)
-            p = g @ lk.reshape(s, nx, -1).transpose(0, 2, 1)
-            return p.reshape(s, b, u, nx).transpose(1, 0, 2, 3)
-        p = g.reshape(b * u, -1) @ lk.reshape(s * nx, -1).T
-        return p.reshape(b, u, s, nx).transpose(0, 2, 1, 3)
+    return -np.add.reduceat(m * logs, starts)
 
 
-def _batch_entropy(m: np.ndarray) -> np.ndarray:
-    """Entropies (bits) of a (b, ...) batch of marginals, per batch row."""
-    m = m.reshape(m.shape[0], -1)
-    # 0 log 0 = 0: empty cells take log2(1) = 0
-    return -(m * np.log2(np.where(m > 0.0, m, 1.0))).sum(axis=1)
-
-
-def _evaluate(
-    marginal: Marginals | np.ndarray, names: Sequence[str | None]
-) -> list[np.ndarray | None]:
-    """Per-row values of the named expressions.
-
-    ``marginal`` gives each term's marginal; a (b, u, x, y1, y2, z) joint
-    batch stands for its ``_summed_down`` marginals.  Each distinct
-    marginal entropy is computed once per call and dropped after its last
-    use.
-    """
-    if isinstance(marginal, np.ndarray):
-        marginal = _summed_down(marginal)
-    uses = Counter(keep for name in names if name for _, keep in _EXPRESSIONS[name])
-    cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def h(keep: tuple[int, ...]) -> np.ndarray:
-        if keep not in cache:
-            cache[keep] = _batch_entropy(marginal(keep))
-        uses[keep] -= 1
-        return cache[keep] if uses[keep] else cache.pop(keep)
-
-    out: list[np.ndarray | None] = []
-    for name in names:
-        if name is None:
-            out.append(None)
-            continue
-        (sign, keep), *rest = _EXPRESSIONS[name]
-        acc = h(keep) if sign > 0 else -h(keep)
-        for sign, keep in rest:
-            acc = acc + h(keep) if sign > 0 else acc - h(keep)
+def _evaluate(m: np.ndarray, logs: np.ndarray, terms: _Terms) -> list[np.ndarray | None]:
+    """Per-row values of ``terms``' expressions at (cells, rows) marginals
+    laid out by ``terms``, with their ``_log2`` ``logs``: the one
+    entropy/sign kernel.  Each expression sums its signed term entropies
+    left to right; a None name gives None."""
+    h = _entropies(m, logs, terms.starts)
+    out = []
+    for name in terms.names:
+        acc = None
+        for sign, keep in _EXPRESSIONS[name] if name else ():
+            v = sign * h[terms.keeps.index(keep)]
+            acc = v if acc is None else acc + v
         out.append(acc)
     return out
 
 
-def _rates(kind: str, marginal: Marginals | np.ndarray, coop: float | None):
-    """Raw (r1, r2, r_sum) per batch row; r_sum is None without a sum bound."""
-    r1, r2, rs = _evaluate(marginal, _KIND_ROWS[kind])
+def _rates(kind: str, values: list, coop: float | None):
+    """Raw (r1, r2, r_sum) from a kind's three values; r_sum is None without
+    a sum bound."""
+    r1, r2, rs = values
     if kind == "PD-IR-COOP":
         r2 = r2 + float(coop)
     return r1, r2, rs
@@ -457,13 +459,6 @@ class RateBounds:
     raw_sum: float | None
 
 
-def _rate_bounds(family: str, r1, r2, rs) -> RateBounds:
-    """RateBounds from the raw values of a batch of one."""
-    raw = [None if v is None else float(v[0]) for v in (r1, r2, rs)]
-    clamped = [None if v is None else max(v, 0.0) for v in raw]
-    return RateBounds(family, *clamped, *raw)
-
-
 def rate_bounds_from_joint(
     family: str, joint: JointPmf, coop_capacity: float | None = None
 ) -> RateBounds:
@@ -481,7 +476,18 @@ def rate_bounds_from_joint(
         raise ValueError("cooperative family needs coop_capacity")
     perm = [joint.axis_index(n) for n in _JOINT_AXES]
     j = np.ascontiguousarray(joint.mass.transpose(perm))[None]
-    return _rate_bounds(family, *_rates(kind, j, coop_capacity))
+    return _joint_bounds(family, j, coop_capacity)
+
+
+def _joint_bounds(family: str, j: np.ndarray, coop: float | None) -> RateBounds:
+    """RateBounds of a (1, u, x, y1, y2, z) joint batch: its summed-down
+    marginals through the entropy/sign kernel."""
+    kind = _family(family)[1]
+    terms = _terms(_KIND_ROWS[kind], j.shape[1:])
+    m = _stacked(j, terms.keeps)
+    values = _rates(kind, _evaluate(m, _log2(m), terms), coop)
+    raw = [None if v is None else float(v[0]) for v in values]
+    return RateBounds(family, *[None if v is None else max(v, 0.0) for v in raw], *raw)
 
 
 def _check_family_model(family: str, model: WiretapModel | GpModel) -> None:
@@ -516,8 +522,8 @@ def eval_rate_bounds(
             f"auxiliary cardinality {aux.u_size} exceeds the default cap {cap}; "
             "set allow_large_u to override"
         )
-    marginal = _ModelMarginals(model, _aux_row(model, aux), aux.u_size)
-    return _rate_bounds(family, *_rates(_family(family)[1], marginal, model.coop_capacity))
+    j = _joint_batch(model, _aux_row(model, aux), aux.u_size)
+    return _joint_bounds(family, j, model.coop_capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +648,12 @@ class SearchParams:
     seed: int = 0
     u_size: int | None = None
 
+    def __post_init__(self) -> None:
+        # a search with no restart has no winner to report
+        for name in ("restarts", "capacity_restarts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 def _ascend(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -698,45 +710,39 @@ def _dirichlet_starts(
     return np.hstack([rng.dirichlet(np.ones(row), size=restarts) for _ in range(n_blocks)])
 
 
-def _chunk_rows(model: WiretapModel | GpModel, u_size: int) -> int:
-    """Rows whose joints would hold at most ``_CHUNK_CELLS`` cells together."""
-    return max(1, _CHUNK_CELLS // (u_size * model.law.size))
-
-
 def _score(
     model: WiretapModel | GpModel,
-    u_size: int,
     objective: str,
     theta: np.ndarray,
-    lam: tuple[np.ndarray, np.ndarray] | None = None,
+    lam: tuple[np.ndarray, np.ndarray] | None,
+    term_map: _Map,
 ) -> np.ndarray:
     """(rows, K) values of ``objective`` on raw (not block-normalized) rows.
 
-    The one evaluator of the searches and the oracle, run in chunks of
-    ``_chunk_rows`` rows.  A capacity expression gives K = 1; a structural
-    kind gives support values at ``lam = (lam1, lam2)``, arrays that
-    broadcast against a column of rows: (K,) for K directions per row,
-    (rows, 1) for one direction per row.
+    The one evaluator of the searches and the oracle: per chunk of
+    ``term_map.chunk`` rows, the marginals through ``term_map`` (which a
+    search or the oracle builds once) and one ``_evaluate``.  A capacity
+    expression gives K = 1; a structural kind gives support values at
+    ``lam = (lam1, lam2)``, arrays that broadcast against a column of rows:
+    (K,) for K directions per row, (rows, 1) for one direction per row.
     """
-    step = _chunk_rows(model, u_size)
-    kind = objective in _KIND_ROWS
-    parts = [
-        _rates(objective, m, model.coop_capacity) if kind else _evaluate(m, (objective,))
-        for m in (
-            _ModelMarginals(model, theta[i : i + step], u_size)
-            for i in range(0, len(theta), step)
-        )
-    ]
+    step = term_map.chunk
+    parts = []
+    for i in range(0, len(theta), step):
+        m = _marginals(model, theta[i : i + step], term_map)
+        parts.append(_evaluate(m, _log2(m), term_map.terms))
     vals = [None if v[0] is None else np.concatenate(v)[:, None] for v in zip(*parts)]
-    return _batch_support(*vals, *lam) if kind else vals[0]
+    if objective in _KIND_ROWS:
+        return _batch_support(*_rates(objective, vals, model.coop_capacity), *lam)
+    return vals[0]
 
 
 def _gradient(
     model: WiretapModel | GpModel,
-    u_size: int,
     objective: str,
     theta: np.ndarray,
-    lam: tuple[np.ndarray, np.ndarray] | None = None,
+    lam: tuple[np.ndarray, np.ndarray] | None,
+    term_map: _Map,
 ) -> np.ndarray:
     """(rows, total) gradient (bits) of ``_score``'s values at raw rows.
 
@@ -744,33 +750,23 @@ def _gradient(
     A theta, empty cells taking 0.  The 1/ln 2 parts cancel: A^T 1 is the
     same vector for every term (1 on the wiretap side, q(z) on the GP
     side) and the signs of every expression sum to 0, so only -log2 m is
-    mapped back.  Each distinct marginal enters once, with the sum of its
-    signs in the expressions weighted by their per-row weights.  A
+    mapped back, by ``_adjoint``.  Each cell's -log2 m is weighed by its
+    term's signs in the expressions, summed with per-row weights: a
     capacity expression weighs 1; a structural kind weighs its (r1, r2,
     r_sum) by ``_support_weights`` at ``lam``, (rows, 1) arrays of one
-    direction per row.  Run in ``_chunk_rows`` chunks, as ``_score``.
+    direction per row.  Chunked as ``_score``.
     """
-    step = _chunk_rows(model, u_size)
-    kind = objective in _KIND_ROWS
-    names = _KIND_ROWS[objective] if kind else (objective,)
-    out = []
+    terms, step, out = term_map.terms, term_map.chunk, []
     for i in range(0, len(theta), step):
-        chunk = theta[i : i + step]
-        marginals = _ModelMarginals(model, chunk, u_size)
-        m = {keep: marginals(keep) for name in names if name for _, keep in _EXPRESSIONS[name]}
-        weights = (1.0,)
-        if kind:
-            r = _rates(objective, m.__getitem__, model.coop_capacity)
-            weights = _support_weights(*r, *(v[i : i + step, 0] for v in lam))
-        coef = dict.fromkeys(m, 0.0)
-        for name, w in zip(names, weights):
-            for sign, keep in _EXPRESSIONS[name] if name else ():
-                coef[keep] = coef[keep] + sign * w
-        grad = np.zeros(marginals.blocks.shape)
-        for keep, mk in m.items():
-            c = np.reshape(coef[keep], (-1,) + (1,) * (mk.ndim - 1))
-            grad += marginals.adjoint(keep, np.log2(np.where(mk > 0.0, mk, 1.0)) * -c)
-        out.append(grad.reshape(len(chunk), -1))
+        m = _marginals(model, theta[i : i + step], term_map)
+        logs = _log2(m)
+        coef = terms.signs[0][:, None]
+        if objective in _KIND_ROWS:
+            r = _rates(objective, _evaluate(m, logs, terms), model.coop_capacity)
+            w = _support_weights(*r, *(v[i : i + step, 0] for v in lam))
+            coef = sum(s[:, None] * c for c, s in zip(w, terms.signs))
+        logs *= -coef
+        out.append(_adjoint(model, logs, term_map))
     return np.concatenate(out)
 
 
@@ -796,19 +792,21 @@ def _search(
     order; each row's objective reads its own key's lambdas.  The variable
     is one p(u, x) block (wiretap) or one q(u, x | z) block per state (GP).
     """
-    row = u_size * model.x_size
-    n_blocks = model.z_size if isinstance(model, GpModel) else 1
+    row, n_blocks = u_size * model.x_size, _blocks(model)
     lam = None if directions is None else np.asarray(directions, dtype=np.float64)
     n_keys = 1 if lam is None else len(lam)
+
+    term_map = _term_map(model, u_size, objective)
 
     def per_row(keys: np.ndarray):
         return None if lam is None else (lam[keys, :1], lam[keys, 1:])
 
     def f(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        return _score(model, u_size, objective, _normalize_blocks(theta, row), per_row(keys))[:, 0]
+        theta = _normalize_blocks(theta, row)
+        return _score(model, objective, theta, per_row(keys), term_map)[:, 0]
 
     def grad(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        return _gradient(model, u_size, objective, theta, per_row(keys))
+        return _gradient(model, objective, theta, per_row(keys), term_map)
 
     starts = [_dirichlet_starts(params.seed, k, restarts, row, n_blocks) for k in range(n_keys)]
     keys = np.repeat(np.arange(n_keys), restarts)
@@ -846,8 +844,7 @@ def _capacity_search(
     if informed:
         aux = _input_aux(side, win.theta, model)
     else:
-        z_size = model.z_size if side == "gp" else 1
-        aux = aux_from_array(side, win.theta, u_size, model.x_size, z_size=z_size)
+        aux = aux_from_array(side, win.theta, u_size, model.x_size, z_size=_blocks(model))
     return CapacityResult(
         value=max(win.value, 0.0),
         raw_value=win.value,
@@ -1017,7 +1014,7 @@ def region_frontier(
     winners = (
         _search(model, u_size, kind, params.restarts, params, directions) if directions else []
     )
-    z_size = model.z_size if side == "gp" else 1
+    z_size = _blocks(model)
     samples: list[SupportSample] = []
     for (lam1, lam2), win in zip(directions, winners):
         aux = aux_from_array(side, win.theta, u_size, model.x_size, z_size=z_size)
@@ -1128,14 +1125,17 @@ def brute_force_oracle(
         objective = _family(family)[1]
         if directions is None:
             directions = sweep_directions(64)
+        if not len(directions):  # an empty sweep scores no point
+            return OracleResult(family, None, None, (), 0)
         lam = tuple(np.asarray(directions, dtype=np.float64).T)
     # a wiretap point is one (u, x) block: the |Z| = 1 case of the GP grid
-    z_size = model.z_size if side == "gp" else 1
+    z_size = _blocks(model)
     row_grid, steps, n_points = _grid(side, u * model.x_size, z_size, delta, budget)
     k = 1 if lam is None else len(directions)
     best_vals = np.full(k, -math.inf)
     best_thetas = np.zeros((k, z_size * row_grid.shape[1]))
-    step = _chunk_rows(model, u)
+    term_map = _term_map(model, u, objective)
+    step = term_map.chunk
     for start in range(0, n_points, step):
         stop = min(start + step, n_points)
         if z_size == 1:  # the product of one block is the row grid: slice, not copy
@@ -1145,7 +1145,7 @@ def brute_force_oracle(
             chunk = np.concatenate([row_grid[d] for d in digits], axis=1)
         # compositions become probabilities one chunk at a time
         chunk = chunk / float(steps)
-        vals = _score(model, u, objective, chunk, lam)
+        vals = _score(model, objective, chunk, lam, term_map)
         i = vals.argmax(axis=0)
         better = vals[i, np.arange(k)] > best_vals
         best_vals[better] = vals[i[better], np.flatnonzero(better)]
@@ -1201,12 +1201,9 @@ def _sd_pair(p_vtx: JointPmf, model: WiretapModel) -> tuple[RateBounds, RateBoun
     if p_vtx.axis_size("x") != model.x_size:
         raise ShapeError("x alphabet mismatch")
 
-    def sd(p_ux: np.ndarray) -> RateBounds:
-        marginal = _ModelMarginals(model, p_ux.reshape(1, -1), p_ux.shape[0])
-        return _rate_bounds("SD-WT", *_rates("SD", marginal, None))
-
     nv, nt, nx = p_vtx.mass.shape
-    return sd(p_vtx.mass.sum(axis=1)), sd(p_vtx.mass.reshape(nv * nt, nx))
+    pairs = ((p_vtx.mass.sum(axis=1), nv), (p_vtx.mass, nv * nt))
+    return tuple(_joint_bounds("SD-WT", _joint_batch(model, p[None], u), None) for p, u in pairs)
 
 
 def two_auxiliary_bounds(p_vtx: JointPmf, model: WiretapModel) -> RateBounds:

@@ -1,17 +1,18 @@
-"""Term marginals built from the auxiliary and the law, without the joint.
+"""Term marginals as a linear map of the flat auxiliary rows.
 
 The searches, the capacities and the grid oracle evaluate every entropy
-term on a marginal contracted directly from (theta, law); only
-``single_letter_joint`` still builds the (u, x, y1, y2, z) joint.  These
-tests hold the two providers of ``regions._evaluate`` to each other and
-check that no search path reaches the joint builder; the entropy kernel
-is held bitwise to its masked form.
+term on the marginals of their rows through a map built once from the
+single-letter joints of the identity rows at |U| = 1; they never build
+the joint of a row they score.  These tests hold the map's marginals to
+the summed joint, count the joints each entry point builds, and hold the
+entropy kernel bitwise to its masked form.
 """
 
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,35 +82,48 @@ def test_model_marginals_match_the_summed_joint(case):
     z_size = model.z_size if side == "gp" else 1
     aux = aux_from_array(side, theta, nu, model.x_size, z_size=z_size, allow_large_u=True)
     joint = single_letter_joint(model, aux).mass[None]
-    marginal = regions._ModelMarginals(model, theta[None], nu)
-    summed = regions._summed_down(joint)
-    # every nonempty set of kept axes, not only the table's terms
-    for keep in KEEPS:
-        mine, ref = marginal(keep), summed(keep)
-        assert mine.shape == ref.shape, keep
-        assert np.abs(mine - ref).max() <= TOL, keep
+    # the map for every nonempty set of kept axes, not only the table's terms
+    with mock.patch.dict(regions._EXPRESSIONS, every=tuple((1, keep) for keep in KEEPS)):
+        term_map = regions._term_map(model, nu, "every")
+    keeps = term_map.terms.keeps
+    assert sorted(keeps) == sorted(KEEPS)
+    m = regions._marginals(model, theta[None], term_map)
+    sizes = (nu,) + joint.shape[2:]
+    widths = [math.prod(sizes[i - 1] for i in keep) for keep in keeps]
+    for keep, mine in zip(keeps, np.split(m, np.cumsum(widths)[:-1]), strict=True):
+        ref = regions._summed_down(joint, keep)
+        if regions._U in keep:  # laid out (rest, u), u fastest
+            ref = np.moveaxis(ref, 1, -1)
+        assert mine.shape == (ref.size, 1), keep
+        assert np.abs(mine[:, 0] - ref.reshape(-1)).max() <= TOL, keep
     for name in _EXPRESSIONS:
-        (value,) = regions._evaluate(marginal, [name])
-        (ref,) = regions._evaluate(joint, [name])
+        term_map = regions._term_map(model, nu, name)
+        m = regions._marginals(model, theta[None], term_map)
+        (value,) = regions._evaluate(m, regions._log2(m), term_map.terms)
+        terms = regions._terms([name], joint.shape[1:])
+        ref_m = regions._stacked(joint, terms.keeps)
+        (ref,) = regions._evaluate(ref_m, regions._log2(ref_m), terms)
         assert value.shape == (1,)
         assert abs(float(value[0]) - float(ref[0])) <= TOL, name
 
 
-def masked_entropy(m):
+def masked_entropy(m, starts):
     """The entropy kernel with 0 log 0 = 0 taken by skipping empty cells."""
-    m = m.reshape(m.shape[0], -1)
     out = np.zeros_like(m)
     nz = m > 0.0
     out[nz] = m[nz] * np.log2(m[nz])
-    return -out.sum(axis=1)
+    return -np.add.reduceat(out, starts)
 
 
 @PROPERTY
-@given(st.integers(1, 40), st.integers(1, 200), st.integers(0, 2**32 - 1), st.booleans())
-def test_entropy_kernel_is_the_masked_sum(rows, cells, seed, sparse):
-    # the same products and the same row sums, so the floats are equal
-    m = sparse_pmfs(np.random.default_rng(seed), rows, cells, sparse)
-    assert regions._batch_entropy(m).tobytes() == masked_entropy(m).tobytes()
+@given(st.integers(1, 200), st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans())
+def test_entropy_kernel_is_the_masked_sum(cells, rows, seed, sparse):
+    # the same products and the same segmented sums, so the floats are equal
+    rng = np.random.default_rng(seed)
+    m = sparse_pmfs(rng, rows, cells, sparse).T.copy()
+    starts = np.flatnonzero(np.r_[True, rng.random(cells - 1) < 0.3])
+    mine = regions._entropies(m, regions._log2(m), starts)
+    assert mine.tobytes() == masked_entropy(m, starts).tobytes()
 
 
 def bsc(p):
@@ -135,29 +149,41 @@ def random_pd_coop_model(rng):
 
 
 def test_searches_build_no_joint(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a full (u, x, y1, y2, z) joint was built")
+    # a search or the oracle builds the joints of the identity rows at
+    # |U| = 1, once, for its map, and never the joint of a row it scores;
+    # a reported bound is evaluated on its one row's joint
+    joint_batch, built = regions._joint_batch, []
 
-    monkeypatch.setattr(regions, "_joint_batch", refuse)
+    def counted(model, theta, u_size):
+        identity = u_size == 1 and np.array_equal(theta, np.eye(len(theta)))
+        built.append("map" if identity else len(theta))
+        return joint_batch(model, theta, u_size)
+
+    def builds(run):
+        built.clear()
+        run()
+        return built[:]
+
+    monkeypatch.setattr(regions, "_joint_batch", counted)
     rng = np.random.default_rng(9)
     bsc_model = WiretapModel(law=np.einsum("xa,xc->xac", bsc(0.1), bsc(0.25))[:, :, None, :])
     sd_model = random_sd_model(rng)
     coop = analogous_gpbc(random_pd_coop_model(rng))
     params = SearchParams(restarts=2, capacity_restarts=2, max_passes=3)
     dirs = sweep_directions(3)
+    sweep = ["map", 1, 1, 1]  # the map, then each direction's bounds
 
-    wt_capacity(bsc_model, params)
-    gp_capacity(analogous_gpbc(bsc_model), params)
-    region_frontier("SD-WT", sd_model, params, dirs)
-    region_frontier("PD-IR-GP-COOP", coop, params, dirs)
-    brute_force_oracle(sd_model, "SD-WT", delta=0.25, directions=dirs)
+    assert builds(lambda: wt_capacity(bsc_model, params)) == ["map"]
+    assert builds(lambda: gp_capacity(analogous_gpbc(bsc_model), params)) == ["map"]
+    assert builds(lambda: region_frontier("SD-WT", sd_model, params, dirs)) == sweep
+    assert builds(lambda: region_frontier("PD-IR-GP-COOP", coop, params, dirs)) == sweep
+    oracle = brute_force_oracle
+    assert builds(lambda: oracle(sd_model, "SD-WT", delta=0.25, directions=dirs)) == sweep
     p_vtx = JointPmf(
         [Axis("v", 2), Axis("t", 2), Axis("x", 2)],
         rng.dirichlet(np.ones(8)),
     )
-    two_auxiliary_bounds(p_vtx, sd_model)
-    reduce_auxiliary(p_vtx, sd_model)
-    # the patch reaches the one caller that still builds the joint
+    assert builds(lambda: two_auxiliary_bounds(p_vtx, sd_model)) == [1, 1]
+    assert builds(lambda: reduce_auxiliary(p_vtx, sd_model)) == [1, 1]
     aux = aux_from_array("wiretap", np.full(4, 0.25), 2, 2)
-    with pytest.raises(AssertionError, match="joint was built"):
-        single_letter_joint(sd_model, aux)
+    assert builds(lambda: single_letter_joint(sd_model, aux)) == [1]

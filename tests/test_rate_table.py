@@ -19,6 +19,9 @@ from wtgp.regions import (
     _EXPRESSIONS,
     FAMILIES,
     _evaluate,
+    _log2,
+    _stacked,
+    _terms,
     rate_bounds_from_joint,
     reduce_auxiliary,
     two_auxiliary_bounds,
@@ -70,7 +73,9 @@ def test_reference_covers_every_row():
 @PROPERTY
 @given(joints())
 def test_every_row_matches_its_definition(joint):
-    values = _evaluate(np.asarray(joint.mass)[None], list(REFERENCE))
+    terms = _terms(list(REFERENCE), joint.mass.shape)
+    m = _stacked(np.asarray(joint.mass)[None], terms.keeps)
+    values = _evaluate(m, _log2(m), terms)
     for (name, ref), value in zip(REFERENCE.items(), values):
         assert value.shape == (1,)
         assert abs(float(value[0]) - ref(joint)) <= TOL, name

@@ -271,6 +271,14 @@ class TestCapacities:
             wt_capacity(product_wiretap(0.1, 0.3, 0.25), quick_params())
 
 
+class TestSearchParams:
+    @pytest.mark.parametrize("field", ["restarts", "capacity_restarts"])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_a_search_needs_a_restart(self, field, count):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1"):
+            SearchParams(**{field: count})
+
+
 class TestFrontier:
     def test_canonical_sd_frontier(self):
         # 17 directions place one ray exactly on the diagonal
@@ -511,13 +519,17 @@ def central_difference(model, u, objective, theta, lam):
     pert = np.eye(total) * GRAD_EPS
     rows = np.stack([theta[:, None] + pert, theta[:, None] - pert], axis=1)
     lam_rows = None if lam is None else tuple(np.repeat(v, 2 * total, axis=0) for v in lam)
-    vals = regions._score(model, u, objective, rows.reshape(-1, total), lam_rows)[:, 0]
+    term_map = regions._term_map(model, u, objective)
+    vals = regions._score(model, objective, rows.reshape(-1, total), lam_rows, term_map)[:, 0]
     vals = vals.reshape(n, 2, total)
     return (vals[:, 0] - vals[:, 1]) / (2.0 * GRAD_EPS), rows
 
 
 def raw_bounds(model, u, kind, theta):
-    return regions._rates(kind, regions._ModelMarginals(model, theta, u), model.coop_capacity)
+    term_map = regions._term_map(model, u, kind)
+    m = regions._marginals(model, theta, term_map)
+    values = regions._evaluate(m, regions._log2(m), term_map.terms)
+    return regions._rates(kind, values, model.coop_capacity)
 
 
 class TestGradient:
@@ -531,13 +543,15 @@ class TestGradient:
             # cancels because the signs of every expression sum to 0
             assert sum(sign for sign, _ in terms) == 0
             fd, _ = central_difference(model, u, name, theta, None)
-            grad = regions._gradient(model, u, name, theta)
+            term_map = regions._term_map(model, u, name)
+            grad = regions._gradient(model, name, theta, None, term_map)
             assert np.abs(grad - fd).max() <= GRAD_TOL, name
         for kind in regions._KIND_ROWS:
             for lam1, lam2 in [(1.0, 0.0), (0.6, 0.8), (0.0, 1.0)]:
                 lam = (np.full((n, 1), lam1), np.full((n, 1), lam2))
                 fd, rows = central_difference(model, u, kind, theta, lam)
-                grad = regions._gradient(model, u, kind, theta, lam)
+                term_map = regions._term_map(model, u, kind)
+                grad = regions._gradient(model, kind, theta, lam, term_map)
                 # a coordinate whose perturbation moves a row onto another
                 # vertex piece has no central difference of that piece
                 r = raw_bounds(model, u, kind, theta)
@@ -609,6 +623,54 @@ class TestGridOracle:
         assert peak < float_grid
         monkeypatch.undo()
         assert brute_force_oracle(model, delta=0.05, u_size=3).value == oracle.value
+
+    def test_empty_sweep_scores_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an empty sweep scored rows")
+
+        monkeypatch.setattr(regions, "_score", refuse)
+        model = random_sd_model(np.random.default_rng(3))
+        oracle = brute_force_oracle(model, "SD-WT", delta=0.1, directions=[])
+        assert oracle.supports == ()
+        assert region_frontier("SD-WT", model, quick_params(), []).supports == ()
+
+    def test_chunk_cap_bounds_every_kernel_array(self, monkeypatch):
+        # criterion 04's model and |U|, a 3-direction SD sweep: the oracles
+        # and the search under a cap that forces many chunks hand the
+        # entropy kernel no chunk of marginals above the cap, and the
+        # oracles agree with one chunk holding every row
+        cap = 1 << 12
+        entropies, sizes = regions._entropies, []
+
+        def spy(m, logs, starts):
+            sizes.append(m.size)
+            return entropies(m, logs, starts)
+
+        monkeypatch.setattr(regions, "_entropies", spy)
+        degraded, sd = degraded_wiretap(), random_sd_model(np.random.default_rng(4))
+        dirs = sweep_directions(3)
+
+        def run():
+            sizes.clear()
+            cap_oracle = brute_force_oracle(degraded, delta=0.1, u_size=3)
+            chunks = len(sizes)
+            sd_oracle = brute_force_oracle(sd, "SD-WT", delta=0.1, directions=dirs)
+            return cap_oracle, sd_oracle, chunks
+
+        monkeypatch.setattr(regions, "_CHUNK_CELLS", 1 << 40)
+        whole = run()
+        assert whole[2] == 1
+        monkeypatch.setattr(regions, "_CHUNK_CELLS", cap)
+        chunked = run()
+        region_frontier("SD-WT", sd, quick_params(max_passes=20), dirs)
+        assert chunked[2] >= 4
+        assert max(sizes) <= cap
+        (a, b), (c, d) = whole[:2], chunked[:2]
+        assert abs(a.value - c.value) <= 1e-14
+        assert np.abs(a.achiever.dist.mass - c.achiever.dist.mass).max() <= 1e-14
+        for s, t in zip(b.supports, d.supports, strict=True):
+            assert abs(s.value - t.value) <= 1e-14
+            assert np.abs(s.achiever.dist.mass - t.achiever.dist.mass).max() <= 1e-14
 
 
 class TestHausdorff:
