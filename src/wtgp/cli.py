@@ -121,7 +121,8 @@ _PARAMS = {
     # batch standard errors use ddof = 1
     "batches": ("an integer >= 2", lambda v: _is_int(v, 2)),
     "directions": ("an integer >= 2", lambda v: _is_int(v, 2)),
-    "seed": ("an integer >= 0", lambda v: _is_int(v, 0)),
+    # the Monte Carlo trial stream keys Philox with the seed's 64 bits
+    "seed": ("an integer in [0, 2**64)", lambda v: _is_int(v, 0) and v < 1 << 64),
     "u_size": ("null or an integer >= 1", lambda v: v is None or _is_int(v)),
     "tol": _A_NUMBER,
     "eps": _A_NUMBER,

@@ -798,10 +798,26 @@ def _secrecy_axes(m1s: int, m2s: int, zs: int, n: int) -> list[Axis]:
     return axes + [Axis(f"z{i + 1}", zs) for i in range(n)]
 
 
-def _trial_block_rng(seed: int, block: int) -> np.random.Generator:
-    bg = np.random.Philox(key=np.uint64(seed & ((1 << 64) - 1)))
-    bg.advance(block * (1 << 40))
-    return np.random.Generator(bg)
+def _trial_block_rng(
+    seed: int, block: int, rng: np.random.Generator | None = None
+) -> np.random.Generator:
+    """Trial block ``block``'s generator: Philox keyed by ``seed``, its
+    counter at block * 2**40 and its buffers empty, as a fresh Philox
+    advanced by that much would be.  ``rng``, a Philox generator, is moved
+    there instead of building a new one.
+    """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"Monte Carlo seed must be in [0, 2**64), got {seed}")
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    c = block << 40
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([c % 2**64, c >> 64, 0, 0], dtype=np.uint64),
+                  "key": np.array([seed, 0], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 def _skip_uniforms(rng: np.random.Generator, d: int) -> None:
@@ -821,18 +837,45 @@ def _skip_uniforms(rng: np.random.Generator, d: int) -> None:
         bg.advance(d // 4)
 
 
-def _letter_draws(cum: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF letters: per entry, how many thresholds cum[row, :-1] lie below u.
+def _word_thresholds(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer thresholds of cumulative rows, for ``_letter_draws``.
 
-    ``cum`` holds cumulative pmf rows and ``rows`` (an index array, or a
-    scalar row for every entry) picks one per uniform in ``u``.  The last
-    column is never compared, so a u above a row's rounded total still
-    gives its last letter.  One threshold column at a time, with no
-    (entries, columns) gather.
+    ``Generator.random`` turns a 64-bit word w into u = (w >> 11) * 2**-53,
+    so u > c holds exactly when the integer w >> 11 exceeds f = floor(c *
+    2**53) (the product is exact), that is when w > (f << 11) | 0x7ff.  An
+    f of 2**53 - 1 or more gives 2**64 - 1, which no word exceeds.  The
+    compared columns cum[:, :-1] are kept as (columns, rows) thresholds,
+    one per run of equal columns, with each run's length; the columns no
+    word exceeds are dropped.
     """
-    out = np.zeros(np.shape(u), dtype=np.intp)
-    for col in cum[:, :-1].T:
-        out += u > col.take(rows)
+    f = np.minimum(np.floor(np.asarray(cum, dtype=np.float64)[:, :-1] * 2.0**53), 2.0**53 - 1)
+    t = ((f.astype(np.uint64) << np.uint64(11)) | np.uint64(0x7FF)).T
+    first = np.ones(len(t), dtype=bool)
+    first[1:] = (t[1:] != t[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    steps = np.diff(np.r_[starts, len(t)])
+    live = (t[starts] != np.iinfo(np.uint64).max).any(axis=1)
+    return np.ascontiguousarray(t[starts[live]]), steps[live]
+
+
+def _letter_draws(thresholds: tuple[np.ndarray, np.ndarray], rows, words: np.ndarray):
+    """Inverse-CDF letters of raw Philox words: per entry, how many of the
+    compared thresholds of its row the word exceeds.
+
+    ``thresholds`` is ``_word_thresholds(cum)`` of cumulative pmf rows and
+    ``rows`` (an index array, or a scalar row for every entry) picks one
+    per word in ``words``, so each letter is the number of columns of
+    cum[row, :-1] below the word's uniform (w >> 11) * 2**-53.  The last
+    column is never compared, so a uniform above a row's rounded total
+    still gives its last letter.  One run of equal threshold columns at a
+    time, with no (entries, columns) gather, into the narrowest unsigned
+    counter that holds the column count.
+    """
+    t, steps = thresholds
+    out = np.zeros(np.shape(words), dtype=np.min_scalar_type(int(steps.sum())))
+    for col, step in zip(t, steps):
+        hit = (words > col.take(rows)).view(np.uint8)
+        out += hit if step == 1 else hit * out.dtype.type(step)
     return out
 
 
@@ -846,60 +889,75 @@ def _mc_draws(
     """Yield (m1, m2, mh1, mh2, flat z^n) index arrays for trials [t0, t1), in order.
 
     Trial block b (MC_BLOCK trials) draws from its own Philox counter range
-    (``_trial_block_rng``), so the stream does not depend on how callers
-    partition the trial range.  Every block draws, in this order, the
-    integers m1, m2, w1, w2 and the uniforms ux (one per trial, the
-    encoder-table row), uz (n per trial, the GP state letters) and uch (n
-    per trial, the channel letters).  A path that does not read ux or uz
-    skips it by counter arithmetic, which leaves uch as it would be.
+    (``_trial_block_rng``, one generator moved from block to block), so
+    the stream does not depend on how callers partition the trial range.
+    Every block draws, in this order, the integers m1, m2, w1, w2 and the
+    raw 64-bit words ux (one per trial, the encoder-table row), uz (n per
+    trial, the GP state letters) and uch (n per trial, the channel
+    letters).  Each word is the one ``Generator.random`` would turn into a
+    uniform, and ``_letter_draws`` reads from it the letter that uniform
+    picks.  A path that does not read ux or uz skips it by counter
+    arithmetic, which leaves uch as it would be.
     """
     n = code.n
     cb = code.codebook
     gp = code.side == "gp"
+    zs, y2s = code.z_size, code.y2_size
     law = model.law  # wiretap (x, y1, y2, z), GP (x, z, y1, y2)
-    cum_ch = np.cumsum(law.reshape(math.prod(law.shape[: 1 + gp]), -1), axis=1)
-    # the letters of each channel cell: (y1, y2, z) triples or (y1, y2) pairs
-    letters = np.unravel_index(np.arange(cum_ch.shape[1]), law.shape[1 + gp :])
+    thr_ch = _word_thresholds(np.cumsum(law.reshape(math.prod(law.shape[: 1 + gp]), -1), axis=1))
     if cb is None:
         xf = code.x_size**n
-        enc_cum = np.cumsum(code.encoder_table, axis=-1).reshape(-1, xf)
+        thr_enc = _word_thresholds(np.cumsum(code.encoder_table, axis=-1).reshape(-1, xf))
+    else:
+        codewords = cb.outer.reshape(-1, n)
     if gp:
-        cum_state = np.cumsum(model.state_dist.mass)[None]
-    z_pow = _seq_powers(code.z_size, n)
+        thr_state = _word_thresholds(np.cumsum(model.state_dist.mass)[None])
+    z_pow = _seq_powers(zs, n)
     obs_pow = _seq_powers(code.obs1_size, n)
-    y2_pow = _seq_powers(code.y2_size, n)
+    y2_pow = _seq_powers(y2s, n)
+    rng = None
     for b0 in range(t0 // MC_BLOCK, (t1 - 1) // MC_BLOCK + 1):
         lo = max(t0, b0 * MC_BLOCK) - b0 * MC_BLOCK
         hi = min(t1, (b0 + 1) * MC_BLOCK) - b0 * MC_BLOCK
         if hi <= lo:
             continue
-        rng = _trial_block_rng(seed, b0)
+        rng = _trial_block_rng(seed, b0, rng)
         m1 = rng.integers(0, code.m1_size, MC_BLOCK)[lo:hi]
         m2 = rng.integers(0, code.m2_size, MC_BLOCK)[lo:hi]
         w1 = rng.integers(0, 1 if cb is None else cb.w1_size, MC_BLOCK)[lo:hi]
         w2 = rng.integers(0, 1 if cb is None else cb.w2_size, MC_BLOCK)[lo:hi]
         if cb is not None:
             _skip_uniforms(rng, MC_BLOCK * (n + 1))
-            xl = cb.outer[m1, w1, m2, w2]  # (b, n) letters
+            flat = ((m1 * cb.w1_size + w1) * cb.m2_size + m2) * cb.w2_size + w2
+            xl = codewords.take(flat, axis=0)  # (b, n) letters
         else:
-            ux = rng.random(MC_BLOCK)[lo:hi]
+            ux = rng.bit_generator.random_raw(MC_BLOCK)[lo:hi]
             row = m1 * code.m2_size + m2
             if gp:
-                zl = _letter_draws(cum_state, 0, rng.random((MC_BLOCK, n))[lo:hi])
-                row = row * code.z_size**n + zl @ z_pow
+                uz = rng.bit_generator.random_raw((MC_BLOCK, n))[lo:hi]
+                zl = _letter_draws(thr_state, 0, uz)
+                row = row * zs**n + zl @ z_pow
             else:
                 _skip_uniforms(rng, MC_BLOCK * n)
-            xl = _seq_digits(_letter_draws(enc_cum, row, ux), code.x_size, n)
-        uch = rng.random((MC_BLOCK, n))[lo:hi]
+            xl = _seq_digits(_letter_draws(thr_enc, row, ux), code.x_size, n)
+        uch = rng.bit_generator.random_raw((MC_BLOCK, n))[lo:hi]
+        # a channel cell is (y1 * |Y2| + y2) * |Z| + z on the wiretap side
+        # and y1 * |Y2| + y2 on the GP side, where the state drew z; the
+        # remainders are taken as c - (c // d) * d, which is faster on bytes
         if gp:
-            duo = _letter_draws(cum_ch, xl * code.z_size + zl, uch)
+            y12 = _letter_draws(thr_ch, xl * zs + zl, uch)
         else:
-            duo = _letter_draws(cum_ch, xl, uch)
-            zl = letters[2].take(duo)
-        y1l = letters[0].take(duo)
-        obs = y1l * code.z_size + zl if code.informed else y1l
-        zfi = zl @ z_pow
-        yield m1, m2, code.dec1[obs @ obs_pow], code.dec2[letters[1].take(duo) @ y2_pow], zfi
+            cell = _letter_draws(thr_ch, xl, uch)
+            y12 = cell // zs
+            zl = cell - y12 * zs
+        y1l = y12 // y2s
+        # a (y1, z) pair index can pass 255, so it is formed in int64
+        obs = y1l.astype(np.int64) * zs + zl if code.informed else y1l
+        if y2s > 1:
+            mh2 = code.dec2[(y12 - y1l * y2s) @ y2_pow]
+        else:  # one y2 sequence
+            mh2 = np.full(hi - lo, code.dec2[0])
+        yield m1, m2, code.dec1[obs @ obs_pow], mh2, zl @ z_pow
 
 
 def _mc_batches(

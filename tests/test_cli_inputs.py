@@ -126,7 +126,7 @@ BAD = {
     "table_budget": bad_int(1),
     "directions": bad_int(2),
     "batches": bad_int(2),
-    "seed": bad_int(0),
+    "seed": st.one_of(bad_int(0), st.integers(min_value=2**64)),
     "u_size": bad_int(1).filter(lambda v: v is not None),
     "tol": BAD_NUMBER,
     "eps": BAD_NUMBER,
@@ -184,6 +184,9 @@ def test_malformed_param_is_refused(channels, command, key, data):
         ("simulate", ["--seed", "-1"], "seed"),
         ("compare", ["--seed", "-1"], "seed"),
         ("capacity", ["--seed", "-1"], "seed"),
+        # 2**64 would key the trial stream as seed 0 does
+        ("simulate", ["--mc", "100000", "--seed", str(2**64)], "seed"),
+        ("capacity", ["--seed", str(2**64)], "seed"),
     ],
 )
 def test_malformed_flag_is_refused(channels, command, flags, key):
@@ -228,6 +231,14 @@ def test_params_at_their_least_values(channels, command, doc):
     status, out, err = run(command, "--channel", channels[channel], *flags, "--params", params)
     assert status == 0 and err == ""
     assert json.loads(out)["command"] == command
+
+
+def test_largest_seed_is_accepted(channels):
+    params = channels["dir"] / "simulate-largest-seed.json"
+    params.write_text(json.dumps({**LEAST_SIM, "seed": 2**64 - 1}))
+    status, out, err = run("simulate", "--channel", channels["pp"], "--params", params)
+    assert status == 0 and err == ""
+    assert json.loads(out)["results"][0]["seed"] == 2**64 - 1
 
 
 @pytest.mark.parametrize("mode", ["mc", "exact"])

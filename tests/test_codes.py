@@ -536,6 +536,8 @@ def stream_fixture(kind):
         enc[0, 1] /= enc[0, 1].sum()
         dec = rng.integers(0, 2, 8), rng.integers(0, 2, 8)
         return wiretap_code_from_tables(model, 3, enc, *dec), model
+    if kind == "codebook-pp":  # one y2 letter, uninformed, as the mc workload runs
+        return make_code(model=pp_model(), n=3)
     gp_model = analogous_gpbc(pp_model(informed_receiver=True), FinitePmf([0.3, 0.7]))
     return random_gp_code(gp_model, 3, 3, seed=6), gp_model
 
@@ -821,6 +823,76 @@ except NumericalError as exc:
         assert abs(residual - 0.2) <= 1e-12
 
 
+def cumulative_rows(rng, rows, cols, zero_share, ulps):
+    """Cumulative pmf rows with zero-mass cells (repeated thresholds; a row
+    may be all zero), scaled so that their totals lie a few ulps off 1."""
+    p = rng.random((rows, cols)) * (rng.random((rows, cols)) >= zero_share)
+    p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
+    return np.cumsum(p, axis=1) * (1.0 + ulps * 2.0**-53)
+
+
+def boundary_words(rng, cum, size):
+    """Words at and around each threshold, 0, 2**64 - 1 and random ones.
+
+    A word w stands for u = (w >> 11) * 2**-53; the words floor(c * 2**53)
+    << 11 (plus any low bits) have u == c whenever c is a multiple of
+    2**-53, and their neighbours fall just below or above it.
+    """
+    k = np.minimum(np.floor(cum.reshape(-1) * 2.0**53), 2.0**53 - 1).astype(np.uint64)
+    at = k << np.uint64(11)
+    low = rng.integers(0, 2048, at.size).astype(np.uint64)
+    edges = [at, at | low, at | np.uint64(0x7FF), at - np.uint64(1), at + np.uint64(0x800)]
+    extreme = np.array([0, 1, 2047, 2048, 2**64 - 2049, 2**64 - 2048, 2**64 - 1], dtype=np.uint64)
+    random = rng.integers(0, 2**64, size, dtype=np.uint64)
+    pool = rng.permutation(np.concatenate([*edges, random]))  # at - 1 wraps at 0: still a word
+    return np.concatenate([extreme, pool])[:size]
+
+
+class TestLetterKernel:
+    """``_letter_draws`` on raw words against the float inverse CDF of their uniforms."""
+
+    @staticmethod
+    def reference(cum, rows, words):
+        u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        rows = np.broadcast_to(rows, words.shape)
+        return np.array(
+            [np.searchsorted(cum[r, :-1], x, side="left") for r, x in zip(rows.flat, u.flat)],
+            dtype=np.int64,
+        ).reshape(words.shape)
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 4),
+        cols=st.sampled_from([1, 2, 3, 4, 7, 255, 256, 257, 258]),
+        zero_share=st.sampled_from([0.0, 0.3, 0.8]),
+        ulps=st.integers(-4, 4),
+        scalar_row=st.booleans(),
+        shape=st.sampled_from([(40,), (8, 5)]),
+    )
+    def test_letters_match_searchsorted(
+        self, seed, rows, cols, zero_share, ulps, scalar_row, shape
+    ):
+        rng = np.random.default_rng(seed)
+        cum = cumulative_rows(rng, rows, cols, zero_share, ulps)
+        size = math.prod(shape)
+        words = boundary_words(rng, cum, size).reshape(shape)
+        row = int(rng.integers(rows)) if scalar_row else rng.integers(0, rows, shape)
+        thresholds = codes._word_thresholds(cum)
+        got = codes._letter_draws(thresholds, row, words)
+        np.testing.assert_array_equal(got, self.reference(cum, row, words))
+        assert got.dtype == np.min_scalar_type(int(thresholds[1].sum()))
+
+    @pytest.mark.parametrize("cols, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_counter_holds_every_column(self, cols, dtype):
+        # 255 compared columns fit a byte, 256 do not; the top word passes all
+        cum = np.arange(1, cols + 1, dtype=np.float64)[None] / cols
+        words = np.array([0, 2**64 - 1], dtype=np.uint64)
+        got = codes._letter_draws(codes._word_thresholds(cum), 0, words)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, [0, cols - 1])
+
+
 class TestMonteCarlo:
     def test_partition_invariance(self):
         code, model = make_code()
@@ -853,9 +925,9 @@ class TestMonteCarlo:
         blocks = []
         draw_block = codes._trial_block_rng
 
-        def counted(seed, block):
+        def counted(seed, block, rng=None):
             blocks.append(block)
-            return draw_block(seed, block)
+            return draw_block(seed, block, rng)
 
         monkeypatch.setattr(codes, "_trial_block_rng", counted)
         rows = simulate_trend(
@@ -865,7 +937,7 @@ class TestMonteCarlo:
         assert rows[0]["trials"] == 20_000
         assert blocks == [0, 1, 2, 3, 4]
 
-    @pytest.mark.parametrize("kind", ["codebook", "table", "gp"])
+    @pytest.mark.parametrize("kind", ["codebook", "table", "gp", "codebook-pp"])
     @pytest.mark.parametrize("t0, t1", [(0, 6000), (2500, 9000)])
     def test_stream_is_pinned(self, kind, t0, t1):
         # sha256 prefixes of the little-endian int64 full-view counts: the
@@ -878,6 +950,8 @@ class TestMonteCarlo:
             ("table", 2500): "afd0ccebfa3bc6c6",
             ("gp", 0): "2d24d80efd863009",
             ("gp", 2500): "cca54fa68c506666",
+            ("codebook-pp", 0): "c77dc0af4f33b8cc",
+            ("codebook-pp", 2500): "5b232f1c7a0e4781",
         }
         code, model = stream_fixture(kind)
         (counts,) = _mc_counts(code, model, t0, t1, 11, [FULL_VIEW])
@@ -913,6 +987,34 @@ class TestMonteCarlo:
         assert got["buffer_pos"] == want["buffer_pos"]
         np.testing.assert_array_equal(got["state"]["counter"], want["state"]["counter"])
         np.testing.assert_array_equal(skipped.random(9), drawn.random(9))
+
+    def test_seed_outside_64_bits_is_refused(self):
+        # Philox takes a 64-bit key; masking a larger seed would alias it
+        for seed in (-1, 2**64, 2**64 + 3):
+            with pytest.raises(ValueError, match="seed"):
+                codes._trial_block_rng(seed, 3)
+        code, model = make_code()
+        with pytest.raises(ValueError, match="seed"):
+            induced_joint(code, model, mode="mc", trials=10, seed=2**64)
+        top = codes._trial_block_rng(2**64 - 1, 3).random(4)
+        assert not np.array_equal(top, codes._trial_block_rng(0, 3).random(4))
+
+    @pytest.mark.parametrize("block", [0, 1, 5, 2**24 - 1, 2**24, 2**30 + 7])
+    def test_moved_generator_is_a_fresh_one(self, block):
+        # block 2**24 is the first whose counter needs a second 64-bit word
+        fresh = np.random.Philox(key=np.uint64(2**64 - 5))
+        fresh.advance(block * (1 << 40))
+        want = np.random.Generator(fresh)
+        moved = codes._trial_block_rng(2**64 - 5, 9)
+        moved.integers(0, 3, 7)  # leaves a spare 32-bit half and a part-read buffer
+        moved.random(3)
+        got = codes._trial_block_rng(2**64 - 5, block, moved)
+        assert got is moved
+        np.testing.assert_array_equal(got.integers(0, 5, 99), want.integers(0, 5, 99))
+        np.testing.assert_array_equal(got.random(9), want.random(9))
+        np.testing.assert_array_equal(
+            got.bit_generator.random_raw(7), want.bit_generator.random_raw(7)
+        )
 
     def test_mc_joint_approaches_exact(self):
         from wtgp.divergence import total_variation

@@ -305,6 +305,40 @@ def _summary(runs: dict, better: dict) -> dict:
     return out
 
 
+def alternating_pairs(trees: dict, plan, seed: int, seconds: float) -> dict:
+    """``perfbench/run.py`` pairs, parent and change: ``count`` pairs of each
+    ``(workload, count)`` in ``plan`` at seeds ``seed``, ``seed + 1``, ...,
+    with the side that runs first alternating from pair to pair."""
+    better = {
+        "setup_s": "lower", "job_s_p50": "lower", "jobs_per_s": "higher", "peak_rss_mb": "lower"
+    }
+    pairs: dict[str, dict] = {}
+    i = 0
+    for workload, count in plan:
+        runs: dict[str, list] = {"parent": [], "change": []}
+        seeds, first = [], []
+        for k in range(count):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(_perfbench(trees[side], workload, seed + k, seconds))
+            seeds.append(seed + k)
+            first.append(order[0])
+            i += 1
+        if count:
+            pairs[workload] = {"pairs": count, "seeds": seeds, "first_side": first,
+                               **_summary(runs, better)}
+    return pairs
+
+
+def machine() -> dict:
+    return {
+        "processor": platform.processor() or platform.machine(),
+        "vcpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def compare(args) -> dict:
     trees = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
@@ -317,34 +351,10 @@ def compare(args) -> dict:
         )
         measured[side] = json.loads(proc.stdout)
     diffs = _largest_differences(measured["parent"]["values"], measured["change"]["values"])
-    better = {
-        "setup_s": "lower", "job_s_p50": "lower", "jobs_per_s": "higher", "peak_rss_mb": "lower"
-    }
-    pairs: dict[str, dict] = {}
-    i = 0
-    for workload, count in [("search", args.pairs)] + [
-        (w, args.side_pairs) for w in ("trend", "mc", "exact")
-    ]:
-        runs: dict[str, list] = {"parent": [], "change": []}
-        seeds, first = [], []
-        for k in range(count):
-            seed = args.seed + k
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(_perfbench(trees[side], workload, seed, args.seconds))
-            seeds.append(seed)
-            first.append(order[0])
-            i += 1
-        if count:
-            pairs[workload] = {"pairs": count, "seeds": seeds, "first_side": first,
-                               **_summary(runs, better)}
+    plan = [("search", args.pairs)] + [(w, args.side_pairs) for w in ("trend", "mc", "exact")]
+    pairs = alternating_pairs(trees, plan, args.seed, args.seconds)
     return {
-        "machine": {
-            "processor": platform.processor() or platform.machine(),
-            "vcpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "machine": machine(),
         "measure": measured,
         "largest_difference": {
             "value": max(d["value"] for d in diffs.values()),
