@@ -67,8 +67,6 @@ from .pmf import Axis, FinitePmf, JointPmf, check_rows
 DEFAULT_ENUM_BUDGET = 10**8
 DEFAULT_TABLE_BUDGET = 1 << 20
 MC_BLOCK = 4096
-# float32 holds every integer up to 2**24 exactly
-_F32_EXACT = 1 << 24
 # power cells an exact marginal builds at a time (one row when rows are larger)
 _POWER_CELLS = 1 << 15
 
@@ -299,84 +297,82 @@ class BlockCode:
         return self.y1_size * self.z_size if self.informed else self.y1_size
 
 
-def _typical_mask(
-    cand_codes: np.ndarray,  # (C, n) per-letter candidate codes
-    obs_digits: np.ndarray,  # (B, n) observation letters in [0, base_o)
-    base_o: int,
-    ref_flat: np.ndarray,  # (candidate codes * base_o,) reference joint
-    eps: float,
-    n: int,
-) -> np.ndarray:
-    """Boolean (B, C): is (candidate, observation) jointly letter-typical.
+def _allowed_strings(ok_a: np.ndarray, k: int) -> np.ndarray:
+    """(m, k) observation strings whose letter counts all pass ``ok_a[o, count]``.
 
-    No letter-pair histogram is built.  The bin of position t, cand[t] *
-    base_o + obs[t], is hit by every position s whose candidate letter
-    and observation letter both equal those at t, so its count is one
-    dot product of two equality masks.  A pair is typical when every
-    position's (bin, count) passes the histogram test, tabulated once
-    per count, and every bin that fails it empty occurs somewhere.
+    Strings grow one letter at a time, and a prefix is dropped once a
+    count exceeds the largest passing count of its letter: counts only
+    grow, so no extension of it can pass.  While they grow, letters and
+    counts are kept in the narrowest unsigned type that holds them: under
+    a dense reference most of the base_o**k strings are allowed.
     """
+    base_o = ok_a.shape[0]
+    passing = ok_a[:, : k + 1]
+    top = (np.arange(k + 1) * passing).max(axis=1)
+    small = np.min_scalar_type(max(base_o - 1, k))
+    strings = np.zeros((1, 0), dtype=small)
+    counts = np.zeros((1, base_o), dtype=small)
+    for _ in range(k):
+        rows, letter = np.nonzero(counts < top)
+        strings = np.column_stack([strings[rows], letter.astype(small)])
+        counts = counts[rows]
+        counts[np.arange(rows.size), letter] += 1
+    return strings[passing[np.arange(base_o), counts].all(axis=1)].astype(np.int64)
+
+
+def _typical_sets(cand_codes: np.ndarray, ref: np.ndarray, eps: float):
+    """Per candidate, the flat indices of its jointly letter-typical observations.
+
+    ``cand_codes`` holds (C, n) candidate letters and ``ref`` the (letters,
+    observation letters) reference joint.  The bins of different
+    candidate letters a are disjoint, so a pair is typical exactly when,
+    for every letter a the candidate holds, the observation letters at
+    the positions P_a = {t : c_t = a} have a histogram passing a's bins,
+    and every letter it lacks passes all its bins at count 0.  A
+    candidate's typical set is then the outer sum over its letters of the
+    allowed strings of length |P_a|, each placed at P_a; each string list
+    is enumerated once per (a, |P_a|).
+    """
+    n = cand_codes.shape[1]
     nu = np.arange(n + 1) / float(n)
-    ok = ~(np.abs(nu - ref_flat[:, None]) > eps * ref_flat[:, None])  # (bins, n + 1)
-    required = np.flatnonzero(~ok[:, 0])
-    b, c = obs_digits.shape[0], cand_codes.shape[0]
-    if required.size > n:  # n letters fill at most n bins
-        return np.zeros((b, c), dtype=bool)
-    # position t's product is bin * (n + 1) + count, the flat index into
-    # ok: the equality masks give the count and two extra columns add the
-    # observation and the candidate part of the bin; every partial sum is
-    # an integer no larger than ok.size, exact in the float type chosen
-    exact = np.float32 if ok.size <= _F32_EXACT else np.float64
-    lhs = np.concatenate(
-        [
-            obs_digits[:, :, None] == obs_digits[:, None, :],
-            obs_digits[:, :, None] * (n + 1),
-            np.ones((b, n, 1), dtype=exact),
-        ],
-        axis=2,
-        dtype=exact,
-    )
-    rhs = np.concatenate(
-        [
-            cand_codes[:, :, None] == cand_codes[:, None, :],
-            np.ones((c, n, 1), dtype=exact),
-            cand_codes[:, :, None] * (base_o * (n + 1)),
-        ],
-        axis=2,
-        dtype=exact,
-    )
-    ok_flat = ok.ravel()
-    mask = np.ones((b, c), dtype=bool)
-    for t in range(n):
-        mask &= ok_flat.take((lhs[:, t] @ rhs[:, t].T).astype(np.intp))
-    for a in required:
-        ca, oa = divmod(int(a), base_o)
-        mask &= (obs_digits == oa).astype(exact) @ (cand_codes == ca).astype(exact).T > 0
-    return mask
+    ok = ~(np.abs(nu - ref[..., None]) > eps * ref[..., None])  # (letters, base_o, n + 1)
+    empty_ok = ok[:, :, 0].all(axis=1)
+    weights = _seq_powers(ref.shape[1], n)
+    allowed: dict[tuple[int, int], np.ndarray] = {}
+    for cand in cand_codes:
+        sizes = np.bincount(cand, minlength=len(ref))
+        idx = np.zeros(1 if empty_ok[sizes == 0].all() else 0, dtype=np.int64)
+        for a in np.flatnonzero(sizes):
+            if not idx.size:
+                break
+            key = (int(a), int(sizes[a]))
+            if key not in allowed:
+                allowed[key] = _allowed_strings(ok[a], key[1])
+            idx = (idx[:, None] + allowed[key] @ weights[cand == a]).ravel()
+        yield idx
 
 
 def _decode_all(
-    cand_codes: np.ndarray,
+    cand_codes: np.ndarray,  # (C, n) per-letter candidate codes
     cand_message: np.ndarray,  # (C,) message index of each candidate
-    base_o: int,
-    ref_flat: np.ndarray,
+    ref: np.ndarray,  # (candidate codes, base_o) reference joint
     eps: float,
-    n: int,
 ) -> np.ndarray:
     """Unique-tuple typicality decoding of every observation sequence.
 
-    Failures decode to message 0.  Observations are taken in flat-index
-    order, a chunk at a time, with (chunk, C) temporaries.
+    Failures decode to message 0.  Each candidate writes its message over
+    its typical set and bumps a hit count capped at 2; the indices of one
+    set are distinct, so an observation keeps a message exactly when one
+    candidate hit it.
     """
-    total = base_o**n
-    out = np.empty(total, dtype=np.int64)
-    chunk = max(1, (1 << 18) // cand_codes.shape[0])
-    for i in range(0, total, chunk):
-        obs = _seq_digits(np.arange(i, min(i + chunk, total)), base_o, n)
-        mask = _typical_mask(cand_codes, obs, base_o, ref_flat, eps, n)
-        hits = mask.sum(axis=1)
-        pick = mask.argmax(axis=1)
-        out[i : i + chunk] = np.where(hits == 1, cand_message[pick], 0)
+    out = np.zeros(ref.shape[1] ** cand_codes.shape[1], dtype=np.int64)
+    hits = np.zeros(out.size, dtype=np.uint8)
+    for message, idx in zip(cand_message, _typical_sets(cand_codes, ref, eps)):
+        hits[idx] = np.minimum(hits[idx], 1) + 1
+        out[idx] = message
+    # hits is 0, 1 or 2, so hits & 1 is 1 exactly where one candidate hit
+    hits &= 1
+    out *= hits
     return out
 
 
@@ -401,6 +397,8 @@ def superposition_code(
     """Attach typicality decode tables for ``model`` to a codebook."""
     if cb.x_size != model.x_size:
         raise ShapeError("codebook x alphabet does not match the model")
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError("eps must be finite and >= 0")
     n = cb.n
     us, xs = cb.u_size, cb.x_size
     y1s, y2s, zs = model.y1_size, model.y2_size, model.z_size
@@ -421,8 +419,8 @@ def superposition_code(
 
     cand1, lab1 = _receiver1_candidates(cb)
     cand2, lab2 = _receiver2_candidates(cb)
-    dec1 = _decode_all(cand1, lab1, obs1, ref1.reshape(-1), eps, n)
-    dec2 = _decode_all(cand2, lab2, y2s, ref2.reshape(-1), eps, n)
+    dec1 = _decode_all(cand1, lab1, ref1.reshape(-1, obs1), eps)
+    dec2 = _decode_all(cand2, lab2, ref2, eps)
     ref1.setflags(write=False)
     ref2.setflags(write=False)
     return BlockCode(

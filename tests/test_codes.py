@@ -202,8 +202,9 @@ class TestEncoder:
             )
 
 
-def trend_code(n, seed, eps):
-    """Criterion 09's informed ternary fixture: Y1 = Y2 = X, binary Z."""
+def trend_fixture(n, seed):
+    """Criterion 09's informed ternary fixture, Y1 = Y2 = X with binary Z:
+    its codebook at (n, seed) and its model."""
     pz = np.array([[0.75, 0.25], [0.5, 0.5], [0.25, 0.75]])
     law = np.zeros((3, 3, 3, 2))
     for x in range(3):
@@ -213,8 +214,11 @@ def trend_code(n, seed, eps):
         np.array([[0.3, 0.2, 0.0], [0.0, 0.2, 0.3]]),
     )
     rates = CodeRates(r1=0.125, r2=0.125, rt1=0.375, rt2=0.375)
-    cb = sample_codebook(p_ux, n, rates, seed)
-    return superposition_code(cb, WiretapModel(law=law, informed_receiver=True), eps)
+    return sample_codebook(p_ux, n, rates, seed), WiretapModel(law=law, informed_receiver=True)
+
+
+def trend_code(n, seed, eps, table_budget=codes.DEFAULT_TABLE_BUDGET):
+    return superposition_code(*trend_fixture(n, seed), eps, table_budget)
 
 
 def assert_tables_match_scalar_decoder(code):
@@ -299,6 +303,78 @@ class TestDecoder:
         )
         with pytest.raises(ValueError):
             typicality_decode(code, [0, 0], 1)
+
+    @pytest.mark.parametrize("eps", [-1.0, -1e-300, math.inf, math.nan])
+    def test_superposition_code_refuses_bad_eps(self, eps):
+        # typicality_decode refuses eps < 0, and at eps = inf the table's
+        # inf * 0 = nan would pass an occupied zero-reference bin
+        cb = sample_codebook(correlated_ux(), 2, CodeRates(r1=0.5, r2=0.5, rt1=0.5, rt2=0.5), 0)
+        with pytest.raises(ValueError, match="eps"):
+            superposition_code(cb, product_model(), eps)
+
+
+def mc_code(n, seed):
+    """The Monte Carlo benchmark fixture: BSC(0.1) main, BSC(0.25) eavesdropper."""
+    p_ux = JointPmf([Axis("u", 1), Axis("x", 2)], np.array([[0.5, 0.5]]))
+    cb = sample_codebook(p_ux, n, CodeRates(r1=0.2, rt1=0.1), seed)
+    return superposition_code(cb, pp_model(), 1.1)
+
+
+def exact_code(p_ux, seed, eps):
+    """The exact benchmark's broadcast model at n = 5."""
+    zch = np.array([[0.8, 0.2], [0.3, 0.7]])
+    model = WiretapModel(law=np.einsum("xa,xb,xc->xabc", bsc(0.1), bsc(0.3), zch))
+    p_ux = np.array(p_ux)
+    joint = JointPmf([Axis("u", p_ux.shape[0]), Axis("x", 2)], p_ux)
+    cb = sample_codebook(joint, 5, CodeRates(r1=0.2, r2=0.2, rt1=0.2), seed)
+    return superposition_code(cb, model, eps)
+
+
+class TestDecodeTablePins:
+    # sha256 prefixes of the little-endian int64 dec1 bytes followed by
+    # the dec2 bytes, computed with a kernel that tested every
+    # (observation, candidate) pair, so they do not rest on the
+    # typical-set enumeration they check
+    PINS = {
+        "trend-2-3": (lambda: trend_code(2, 3, 32.0), "6374aa12eb81cbe6"),
+        "trend-4-3": (lambda: trend_code(4, 3, 32.0), "990e4d7b5e3a8de7"),
+        "trend-6-3": (lambda: trend_code(6, 3, 32.0), "463063af34ff8a9a"),
+        "trend-2-12345": (lambda: trend_code(2, 12345, 32.0), "8a52d56f796433de"),
+        "trend-4-12345": (lambda: trend_code(4, 12345, 32.0), "0824f83be3016868"),
+        "trend-6-12345": (lambda: trend_code(6, 12345, 32.0), "b7b2de5befbd5a2c"),
+        "criterion09-8": (lambda: trend_code(8, 265, 32.0, 1 << 21), "17ab60875bac06b6"),
+        "mc-8": (lambda: mc_code(8, 3), "dcc451be989eb4e3"),
+        "mc-10": (lambda: mc_code(10, 3), "0af2066414ca2287"),
+        # the benchmark's p_ux shape: more positive bins than letters, so
+        # eps < 1 leaves every table at 0
+        "exact-5": (
+            lambda: exact_code([[0.1, 0.2], [0.3, 0.05], [0.15, 0.2]], 3, 0.5),
+            "076a27c79e5ace2a",
+        ),
+        "exact-5-correlated": (
+            lambda: exact_code([[0.4, 0.1], [0.1, 0.4]], 3, 0.5),
+            "07b1ae789c4359da",
+        ),
+        "exact-5-correlated-eps1.5": (
+            lambda: exact_code([[0.4, 0.1], [0.1, 0.4]], 3, 1.5),
+            "00f7f65babcc4f19",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_tables_are_pinned(self, name):
+        make, pin = self.PINS[name]
+        code = make()
+        data = code.dec1.astype("<i8").tobytes() + code.dec2.astype("<i8").tobytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == pin
+
+    def test_criterion09_table_peak(self):
+        # the pairwise kernel peaked at 17 621 205 bytes (16.8 MiB) here;
+        # the n = 8 receiver-1 table alone is 6**8 int64 entries, 12.8 MiB
+        cb, model = trend_fixture(8, 265)
+        code, peak = traced_peak(lambda: superposition_code(cb, model, 32.0, 1 << 21))
+        assert code.dec1.size == 6**8
+        assert peak <= 16.8 * 2**20
 
 
 class TestInducedJointExact:

@@ -1,8 +1,8 @@
-"""Stage timings of the Monte Carlo trial counter, for one tree or a parent/change pair.
+"""Decode-table and Monte Carlo stage timings, for one tree or a parent/change pair.
 
     python tools/bench_mc.py measure --tree DIR [--reps 5] [--out FILE]
     python tools/bench_mc.py compare --parent DIR --change DIR --out FILE \\
-        [--rounds 3 --pairs 10 --side-pairs 3 --seed 2301 --seconds 20]
+        [--rounds 3 --pairs 10 --side-pairs 3 --claim mc --seed 2301 --seconds 20]
 
 ``measure`` imports ``wtgp`` from ``DIR/src`` and the ``mc`` and ``trend``
 fixtures from ``DIR/perfbench`` and, in one process with one BLAS
@@ -11,6 +11,9 @@ does: per blocklength, one codebook (seed 99) and its decode tables, then
 ``codes._mc_batches`` over the fixture's trials in its batches, at
 trial seed 5, with the two views of a trend run.  It records:
 
+* ``decode_table_s``: per blocklength, the seconds of the public
+  ``superposition_code`` call that builds both decode tables (median of
+  ``--reps`` calls on the same codebook);
 * ``counting_s``: the seconds of the counting alone, summed over the
   blocklengths (median of ``--reps`` untraced runs, and every run);
 * ``stage_us_per_block``: one traced run split into stages, in
@@ -36,9 +39,11 @@ unchanged on trees whose kernels differ.
 ``compare`` runs ``measure`` ``--rounds`` times per tree in fresh
 processes, alternating which tree goes first, checks that the digests
 agree, then runs alternating ``perfbench/run.py`` pairs from each tree
-(``--pairs`` on mc, ``--side-pairs`` on trend, search and exact), removing
-every ``__pycache__`` under the tree before each run, and writes it all
-to one JSON file.
+(``--pairs`` on the ``--claim`` workload, ``--side-pairs`` on the other
+three), removing every ``__pycache__`` under the tree before each run.
+Last it times, in two alternating rounds, acceptance criterion 09 alone
+and the whole test suite of each tree, and writes it all to one JSON
+file.
 """
 
 from __future__ import annotations
@@ -178,23 +183,31 @@ def _stages(events) -> tuple[dict, int]:
     return out, blocks
 
 
-def _fixture(codes, channels, pmf, cls):
+def _fixture(codes, channels, pmf, cls, reps: int):
+    """The fixture's model, its code per blocklength, and the median
+    seconds of ``superposition_code`` per blocklength."""
     model = channels.WiretapModel(law=cls.law, informed_receiver=cls.informed)
     p_ux = np.asarray(cls.sim["p_ux"], dtype=np.float64)
     joint = pmf.JointPmf([pmf.Axis("u", p_ux.shape[0]), pmf.Axis("x", p_ux.shape[1])], p_ux)
     rates = codes.CodeRates(**cls.sim["rates"])
-    built = []
+    built, table_s = [], {}
     for n in cls.sim["n_list"]:
         cb = codes.sample_codebook(joint, n, rates, CODE_SEED)
-        built.append(codes.superposition_code(cb, model, cls.sim["eps"]))
-    return model, built
+        times = []
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            code = codes.superposition_code(cb, model, cls.sim["eps"])
+            times.append(time.perf_counter() - t0)
+        built.append(code)
+        table_s[str(n)] = round(statistics.median(times), 5)
+    return model, built, table_s
 
 
 def measure(tree: Path, reps: int) -> dict:
     codes, channels, pmf, wl = _load(tree)
     out = {}
     for cls in (wl.MonteCarlo, wl.Trend):
-        model, built = _fixture(codes, channels, pmf, cls)
+        model, built, table_s = _fixture(codes, channels, pmf, cls, reps)
         per = cls.trials // cls.sim["batches"]
         edges = range(0, per * cls.sim["batches"] + 1, per)
 
@@ -219,6 +232,7 @@ def measure(tree: Path, reps: int) -> dict:
             "n_list": cls.sim["n_list"],
             "trials": per * cls.sim["batches"],
             "blocks": blocks,
+            "decode_table_s": table_s,
             "counting_s": round(statistics.median(times), 4),
             "counting_runs_s": [round(t, 4) for t in times],
             "stage_us_per_block": {k: round(1e6 * v / blocks, 2) for k, v in stages.items()},
@@ -246,6 +260,10 @@ def compare(args) -> dict:
             "same_counts": len({m[fixture]["digest"] for ms in measured.values() for m in ms}) == 1,
             **{
                 side: {
+                    "decode_table_s": {
+                        n: statistics.median(m[fixture]["decode_table_s"][n] for m in ms)
+                        for n in ms[0][fixture]["decode_table_s"]
+                    },
                     "counting_s": statistics.median(m[fixture]["counting_s"] for m in ms),
                     "stage_us_per_block": {
                         stage: statistics.median(m[fixture]["stage_us_per_block"][stage] for m in ms)
@@ -255,7 +273,9 @@ def compare(args) -> dict:
                 for side, ms in measured.items()
             },
         }
-    plan = [("mc", args.pairs)] + [(w, args.side_pairs) for w in ("trend", "search", "exact")]
+    plan = [(args.claim, args.pairs)] + [
+        (w, args.side_pairs) for w in ("mc", "trend", "search", "exact") if w != args.claim
+    ]
     return {
         "machine": machine(),
         "measure": {"summary": summary, "rounds": measured},
@@ -264,7 +284,38 @@ def compare(args) -> dict:
             f"{args.seconds:g} --trace 0",
             "workloads": alternating_pairs(trees, plan, args.seed, args.seconds),
         },
+        "pytest": _pytest_walls(trees),
     }
+
+
+PYTEST_RUNS = {
+    "criterion_09": ["tests/test_acceptance.py::test_criterion_09_blocklength_trend"],
+    "tier1": ["--continue-on-collection-errors"],
+}
+
+
+def _pytest_walls(trees: dict) -> dict:
+    """Wall seconds and the summary line of each ``PYTEST_RUNS`` entry per
+    tree, two rounds with the first tree alternating."""
+    out = {name: {"parent": [], "change": []} for name in PYTEST_RUNS}
+    for r in range(2):
+        for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
+            tree = trees[side]
+            env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
+            for name, extra in PYTEST_RUNS.items():
+                _clear_caches(tree)
+                t0 = time.perf_counter()
+                proc = subprocess.run(
+                    [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *extra],
+                    cwd=tree, capture_output=True, text=True, env=env,
+                )
+                lines = proc.stdout.strip().splitlines()
+                out[name][side].append({
+                    "wall_s": round(time.perf_counter() - t0, 2),
+                    "exit_status": proc.returncode,
+                    "summary": lines[-1] if lines else "",
+                })
+    return out
 
 
 def main() -> None:
@@ -282,6 +333,7 @@ def main() -> None:
     c.add_argument("--reps", type=int, default=5)
     c.add_argument("--pairs", type=int, default=10)
     c.add_argument("--side-pairs", type=int, default=3)
+    c.add_argument("--claim", choices=("mc", "trend", "search", "exact"), default="mc")
     c.add_argument("--seed", type=int, default=2301)
     c.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args()
