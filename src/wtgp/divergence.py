@@ -202,8 +202,9 @@ def empirical_pmf(seq: Sequence[int], alphabet_size: int) -> FinitePmf:
 
 def is_typical(seq: Sequence[int], p: FinitePmf, eps: float) -> bool:
     """Letter typicality: |nu(a) - p(a)| <= eps * p(a) for every a."""
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
+    # NaN or inf would call every sequence atypical (inf * 0 is NaN)
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError("eps must be finite and >= 0")
     nu = empirical_pmf(seq, p.alphabet_size)
     return bool(np.all(np.abs(nu.mass - p.mass) <= eps * p.mass))
 

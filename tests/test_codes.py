@@ -294,6 +294,12 @@ class TestDecoder:
         with pytest.raises(ShapeError):
             typicality_decode(code, [0], 1)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_decoder_refuses_non_finite_eps(self, eps):
+        code, _ = make_code()
+        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+            typicality_decode(code, [0, 0], 1, eps)
+
     def test_table_codes_have_no_reference(self):
         model = pp_model()
         enc = np.zeros((2, 1, 4))

@@ -243,6 +243,12 @@ class TestTypicality:
         with pytest.raises(ValueError):
             is_typical([0], FinitePmf.uniform(2), -0.1)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        # NaN, and inf through inf * 0 = NaN, would call every sequence atypical
+        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+            is_typical([0, 1], FinitePmf.uniform(2), eps)
+
 
 class TestMiContinuityBound:
     def test_plug_in(self):

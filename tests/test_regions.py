@@ -278,6 +278,27 @@ class TestSearchParams:
         with pytest.raises(ValueError, match=f"^{field} must be at least 1"):
             SearchParams(**{field: count})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tol", math.nan),
+            ("tol", math.inf),
+            ("tol", -1e-9),
+            ("max_passes", 0),
+            ("max_passes", -1),
+            ("u_size", 0),
+            ("u_size", -2),
+        ],
+    )
+    def test_values_that_change_a_search_are_refused(self, field, value):
+        # a NaN tol stopped every restart after one pass with converged set
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SearchParams(**{field: value})
+
+    def test_smallest_values_are_accepted(self):
+        params = SearchParams(tol=0.0, max_passes=1, u_size=1)
+        assert (params.tol, params.max_passes, params.u_size) == (0.0, 1, 1)
+
 
 class TestFrontier:
     def test_canonical_sd_frontier(self):
@@ -477,6 +498,230 @@ class TestAscent:
             assert s.achiever.dist.mass.tobytes() == t.achiever.dist.rows.tobytes()
         assert a.boundary == b.boundary
         assert a.metadata["unconverged_directions"] == b.metadata["unconverged_directions"]
+
+
+# the search workload's settings and fixtures: a binary point-to-point law
+# with near-zero capacities (the second Dirichlet draw of default_rng(5)),
+# criterion 05's SD law, a PD informed law, and the known PD-IR-GP fault
+SEARCH_SETTINGS = {"capacity_restarts": 16, "restarts": 8, "max_passes": 200, "directions": 3}
+
+
+def random_pd_model(rng):
+    """Binary physically-degraded informed model: p(y1, z | x) B(y2 | y1)."""
+    a = rng.dirichlet(np.ones(4), size=2).reshape(2, 2, 2)
+    b = rng.dirichlet(np.ones(2), size=2)
+    return WiretapModel(law=np.einsum("xaz,ab->xabz", a, b), informed_receiver=True)
+
+
+def near_zero_model():
+    rng = np.random.default_rng(5)
+    rng.dirichlet(np.ones(4), size=2)
+    return WiretapModel(law=rng.dirichlet(np.ones(4), size=2).reshape(2, 2, 1, 2))
+
+
+def search_fixture(name):
+    """One search of the search workload at search seed 0, as a thunk.  The
+    near-zero GP model takes the state law of the wiretap achiever's output."""
+    params = SearchParams(**SEARCH_SETTINGS)
+    if name.startswith("near-zero"):
+        wt = near_zero_model()
+        if name == "near-zero-wt":
+            return lambda: wt_capacity(wt, params)
+        p_x = wt_capacity(wt, params).achiever.dist.mass.sum(axis=0)
+        gp = analogous_gpbc(wt, FinitePmf(p_x @ wt.law.sum(axis=(1, 2))))
+        return lambda: gp_capacity(gp, params)
+    family, model = {
+        "sd05": ("SD-WT", random_sd_model(np.random.default_rng(0))),
+        "pd3": ("PD-IR-WT", random_pd_model(np.random.default_rng(3))),
+        "known-fault": ("PD-IR-GP", analogous_gpbc(random_pd_model(np.random.default_rng(17)))),
+    }[name]
+    return lambda: region_frontier(family, model, params)
+
+
+def outcome(result):
+    """Everything a search reports, achievers as bytes."""
+
+    def raw(aux):
+        return (aux.dist.mass if aux.side == "wiretap" else aux.dist.rows).tobytes()
+
+    if hasattr(result, "supports"):
+        return [
+            (s.value, s.r1, s.r2, raw(s.achiever), s.converged) for s in result.supports
+        ], result.metadata
+    return result.value, result.raw_value, raw(result.achiever), result.converged, result.metadata
+
+
+def full_ladder_ascend(f, grad, row, starts, keys, params):
+    """The ascent without the window: every pass scores the whole ladder
+    of every active row in one call and keeps each row's best rung."""
+    theta = starts.astype(np.float64).copy()
+    n, total = theta.shape
+    vals = f(theta, keys)
+    active = np.ones(n, dtype=bool)
+    steps = regions._STEP0 * 0.5 ** np.arange(regions._LADDER)
+    passes = 0
+    while active.any() and passes < params.max_passes:
+        passes += 1
+        idx = np.flatnonzero(active)
+        base = theta[idx]
+        cand = regions._mirror_candidates(base, grad(base, keys[idx]), steps, row)
+        fv = f(cand.reshape(-1, total), np.repeat(keys[idx], len(steps))).reshape(len(idx), -1)
+        best = fv.argmax(axis=1)
+        bestv = fv[np.arange(len(idx)), best]
+        better = bestv > vals[idx] + 1e-15
+        upd = idx[better]
+        theta[upd] = cand[better, best[better]]
+        active[idx] = np.where(better, bestv - vals[idx], 0.0) > params.tol
+        vals[upd] = bestv[better]
+    return vals, theta, active
+
+
+def scored_rows(monkeypatch):
+    """The rows of every ``_score`` call from now on, in call order."""
+    rows = []
+    score = regions._score
+
+    def counted(model, objective, theta, *args):
+        rows.append(len(theta))
+        return score(model, objective, theta, *args)
+
+    monkeypatch.setattr(regions, "_score", counted)
+    return rows
+
+
+def synthetic_ascent(value, max_passes, tol=1e-9):
+    """``_ascend`` on one row of one 2-cell block whose candidate at rung r
+    of pass p scores ``value(p, r)``, its start 0.  The gradient is (1, 0),
+    so rung r multiplies the row's ratio theta0 / theta1 by 2^(_STEP0 / 2^r)
+    and ``f`` reads the rung back from that ratio.  Returns the final value,
+    the active flag and the sorted rungs of each ladder ``f`` call."""
+    state = {"pass": 0, "base": None}
+    calls = []
+
+    def grad(theta, keys):
+        state["pass"] += 1
+        state["base"] = theta[0].copy()
+        return np.array([[1.0, 0.0]])
+
+    def f(theta, keys):
+        b = state["base"]
+        if b is None:  # the start
+            return np.zeros(len(theta))
+        s = np.log2(theta[:, 0] / theta[:, 1] * (b[1] / b[0]))
+        scored = np.rint(np.log2(regions._STEP0 / s)).astype(int)
+        calls.append(sorted(scored.tolist()))
+        return np.array([value(state["pass"], r) for r in scored])
+
+    params = SearchParams(max_passes=max_passes, tol=tol)
+    vals, _, active = regions._ascend(
+        f, grad, 2, np.array([[0.5, 0.5]]), np.zeros(1, dtype=np.int64), params
+    )
+    return vals[0], bool(active[0]), calls
+
+
+def rungs(lo, hi):
+    return list(range(lo, hi + 1))
+
+
+class TestLadderWindow:
+    """Each row scores ``_WINDOW`` rungs around its last winning rung and
+    the whole ladder only on its first pass, past an inner window edge, or
+    to certify a stop."""
+
+    @pytest.mark.parametrize("name", ["near-zero-gp", "sd05"])
+    def test_a_full_window_is_the_full_ladder_rule(self, monkeypatch, name):
+        # a window as wide as the ladder scores every rung of every active
+        # row in one call per pass, exactly as the full-ladder reference
+        run = search_fixture(name)
+        rows = scored_rows(monkeypatch)
+        monkeypatch.setattr(regions, "_WINDOW", regions._LADDER)
+        window = outcome(run())
+        window_rows = rows[:]
+        rows.clear()
+        monkeypatch.setattr(regions, "_ascend", full_ladder_ascend)
+        assert outcome(run()) == window
+        assert rows == window_rows
+
+    @pytest.mark.parametrize(
+        "name", ["near-zero-wt", "near-zero-gp", "sd05", "pd3", "known-fault"]
+    )
+    def test_window_matches_full_ladder_on_search_fixtures(self, monkeypatch, name):
+        run = search_fixture(name)
+        default = outcome(run())
+        monkeypatch.setattr(regions, "_WINDOW", regions._LADDER)
+        assert outcome(run()) == default
+
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(["SD-WT", "SD-GP", "PD-IR-WT", "PD-IR-GP"]),
+    )
+    def test_window_matches_full_ladder_on_random_models(self, seed, family):
+        rng = np.random.default_rng(seed)
+        model = random_sd_model(rng) if family.startswith("SD") else random_pd_model(rng)
+        if family.endswith("GP"):
+            model = analogous_gpbc(model)
+        params = SearchParams(restarts=4, seed=seed % 1000)
+        dirs = sweep_directions(5)
+        default = outcome(region_frontier(family, model, params, dirs))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regions, "_WINDOW", regions._LADDER)
+            assert outcome(region_frontier(family, model, params, dirs)) == default
+
+    @pytest.mark.parametrize("share", [0.5, 1.0])
+    def test_a_stalled_window_rescores_the_ladder(self, share):
+        # pass 2's window (rungs 7-13 around rung 10) gains only share * tol,
+        # while rung 25 gains 20 tol: the row must take rung 25 and go on.
+        # tol is a power of 2, so the gains are exact
+        tol = 2.0**-30
+
+        def value(p, r):
+            if p == 1:
+                return 1.0 if r == 10 else 0.5
+            if p == 2:
+                return 1.0 + 20 * tol if r == 25 else 1.0 + share * tol if r == 10 else 0.0
+            return 0.0
+
+        v, active, calls = synthetic_ascent(value, max_passes=2, tol=tol)
+        assert (v, active) == (1.0 + 20 * tol, True)
+        assert calls == [rungs(0, 29), rungs(7, 13), rungs(0, 29)]
+        # the stop is certified on the whole ladder too: 25's window is 22-28
+        v, active, calls = synthetic_ascent(value, max_passes=10, tol=tol)
+        assert (v, active) == (1.0 + 20 * tol, False)
+        assert calls[3:] == [rungs(22, 28), rungs(0, 29)]
+
+    def test_an_inner_edge_winner_rescores_the_ladder(self):
+        # each pass p > 1 peaks at rung peak[p] and gains 0.1 there, less
+        # 0.001 per rung away from it
+        peak = {2: 3, 3: 0, 4: 3, 5: 20, 6: 29, 7: 29}
+
+        def value(p, r):
+            if p == 1:
+                return 1.0 if r == 10 else 0.5
+            if p in peak:
+                return 1.0 + 0.1 * (p - 1) - 0.001 * abs(r - peak[p])
+            return 0.0
+
+        v, active, calls = synthetic_ascent(value, max_passes=7)
+        assert (round(v, 12), active) == (1.6, True)
+        assert calls == [
+            rungs(0, 29),
+            rungs(7, 13), rungs(0, 29),  # winner 7, an inner edge: rung 3 wins
+            rungs(0, 6),  # winner 0 is the ladder's end: no re-score
+            rungs(0, 6),  # winner 3, inside the window
+            rungs(0, 6), rungs(0, 29),  # winner 6, an inner edge: rung 20 wins
+            rungs(17, 23), rungs(0, 29),  # winner 23, an inner edge: rung 29 wins
+            rungs(23, 29),  # winner 29 is the ladder's end: no re-score
+        ]
+
+    def test_near_zero_gp_capacity_scores_a_third_of_the_ladder_rows(self, monkeypatch):
+        # the full ladder scored 96 016 rows here: the starts and 30 rungs
+        # of each of 16 restarts on each of 200 passes
+        run = search_fixture("near-zero-gp")
+        rows = scored_rows(monkeypatch)
+        result = run()
+        assert result.metadata["budget_exhausted"]
+        assert sum(rows) <= 96_016 // 3
 
 
 def sparse_law(rng, rows, cells):

@@ -60,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bench_regions import _clear_caches, alternating_pairs, machine
+from bench_regions import _clear_caches, _pytest_walls, alternating_pairs, machine
 
 TRIAL_SEED = 5
 CODE_SEED = 99
@@ -284,7 +284,7 @@ def compare(args) -> dict:
             f"{args.seconds:g} --trace 0",
             "workloads": alternating_pairs(trees, plan, args.seed, args.seconds),
         },
-        "pytest": _pytest_walls(trees),
+        "pytest": _pytest_walls(trees, PYTEST_RUNS),
     }
 
 
@@ -292,30 +292,6 @@ PYTEST_RUNS = {
     "criterion_09": ["tests/test_acceptance.py::test_criterion_09_blocklength_trend"],
     "tier1": ["--continue-on-collection-errors"],
 }
-
-
-def _pytest_walls(trees: dict) -> dict:
-    """Wall seconds and the summary line of each ``PYTEST_RUNS`` entry per
-    tree, two rounds with the first tree alternating."""
-    out = {name: {"parent": [], "change": []} for name in PYTEST_RUNS}
-    for r in range(2):
-        for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
-            tree = trees[side]
-            env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
-            for name, extra in PYTEST_RUNS.items():
-                _clear_caches(tree)
-                t0 = time.perf_counter()
-                proc = subprocess.run(
-                    [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *extra],
-                    cwd=tree, capture_output=True, text=True, env=env,
-                )
-                lines = proc.stdout.strip().splitlines()
-                out[name][side].append({
-                    "wall_s": round(time.perf_counter() - t0, 2),
-                    "exit_status": proc.returncode,
-                    "summary": lines[-1] if lines else "",
-                })
-    return out
 
 
 def main() -> None:

@@ -8,6 +8,8 @@
 fixtures from ``DIR/perfbench`` and records, in one process with one BLAS
 thread:
 
+* per fixture, the ``regions._score`` calls and the rows they scored
+  over the whole search (``work``);
 * per-call microseconds of ``regions._score`` and ``regions._gradient``:
   the first ladder call and the first gradient call of each search
   fixture (near-zero ``wt_capacity`` and ``gp_capacity``, the sd05 SD-WT
@@ -33,7 +35,9 @@ the script runs unchanged on trees whose private signatures differ.
 largest |change - parent| of every recorded value, then runs alternating
 ``perfbench/run.py`` pairs from each tree (``--pairs`` on search,
 ``--side-pairs`` on trend, mc and exact), removing every ``__pycache__``
-under the tree before each run, and writes it all to one JSON file.
+under the tree before each run.  Last it times, in two alternating
+rounds, acceptance criterion 05 alone and the whole test suite of each
+tree, and writes it all to one JSON file.
 """
 
 from __future__ import annotations
@@ -72,14 +76,19 @@ def _timed(fn, *args, **kwargs):
 
 def _captured(regions, run):
     """The first ladder ``_score`` call and the first ``_gradient`` call of
-    ``run()``, with their arguments, and run's result."""
+    ``run()``, with their arguments, run's result, and the ``_score`` calls
+    of the whole run and the rows they scored."""
     calls = {"_score": [], "_gradient": []}
     originals = {name: getattr(regions, name) for name in calls}
+    work = {"score_calls": 0, "rows_scored": 0}
 
     def spy(name):
         def wrapped(*args, **kwargs):
             if len(calls[name]) < 2:
                 calls[name].append((args, kwargs))
+            if name == "_score":
+                work["score_calls"] += 1
+                work["rows_scored"] += len(args[2])  # theta
             return originals[name](*args, **kwargs)
 
         return wrapped
@@ -92,7 +101,7 @@ def _captured(regions, run):
         for name, fn in originals.items():
             setattr(regions, name, fn)
     # the first _score call scores the starts, the second is the first ladder
-    return {"_score": calls["_score"][1], "_gradient": calls["_gradient"][0]}, result
+    return {"_score": calls["_score"][1], "_gradient": calls["_gradient"][0]}, result, work
 
 
 def _traced(run):
@@ -145,17 +154,23 @@ def measure(tree: Path) -> dict:
         p_x = np.asarray(achiever.dist.mass).sum(axis=0)
         return channels.analogous_gpbc(model, FinitePmf(p_x @ model.law.sum(axis=(1, 2))))
 
+    work: dict[str, dict] = {}
+
     near = channels.WiretapModel(law=wl.near_zero_law())
-    calls, wt = _captured(regions, lambda: regions.wt_capacity(near, params))
+    calls, wt, work["near-zero:wt_capacity"] = _captured(
+        regions, lambda: regions.wt_capacity(near, params)
+    )
     values["near-zero:wt_capacity"] = _capacity(wt)
     fixtures = {"near-zero:wt_capacity": calls}
     near_gp = analogous(near, wt.achiever)
-    calls, gp = _captured(regions, lambda: regions.gp_capacity(near_gp, params))
+    calls, gp, work["near-zero:gp_capacity"] = _captured(
+        regions, lambda: regions.gp_capacity(near_gp, params)
+    )
     values["near-zero:gp_capacity"] = _capacity(gp)
     fixtures["near-zero:gp_capacity"] = calls
     for name, (family, law, informed) in wl.REGIONS.items():
         model = channels.WiretapModel(law=law, informed_receiver=informed)
-        calls, region = _captured(
+        calls, region, work[f"{name}:{family}"] = _captured(
             regions, lambda: regions.region_frontier(family, model, params)
         )
         values[f"{name}:{family}"] = _supports(region)
@@ -176,7 +191,7 @@ def measure(tree: Path) -> dict:
             f"sdgp{n}:SD-GP": lambda: regions.region_frontier("SD-GP", sd_gp, params),
         }
         for name, run in runs.items():
-            (calls, result), secs, peak = _traced(lambda: _captured(regions, run))
+            (calls, result, work[name]), secs, peak = _traced(lambda: _captured(regions, run))
             is_region = hasattr(result, "supports")
             values[name] = _supports(result) if is_region else _capacity(result)
             larger[name] = {
@@ -189,14 +204,19 @@ def measure(tree: Path) -> dict:
     known = channels.analogous_gpbc(
         channels.WiretapModel(law=wl.KNOWN_FAULT["law"], informed_receiver=True)
     )
-    values["known-fault:PD-IR-GP"] = _supports(regions.region_frontier("PD-IR-GP", known, params))
+    _, region, work["known-fault:PD-IR-GP"] = _captured(
+        regions, lambda: regions.region_frontier("PD-IR-GP", known, params)
+    )
+    values["known-fault:PD-IR-GP"] = _supports(region)
 
     gp_s = [_timed(regions.gp_capacity, near_gp, params)[1] for _ in range(5)]
 
     c05 = channels.WiretapModel(law=wl.random_sd_law(np.random.default_rng(0)))
     dirs = regions.sweep_directions(33)
     sweeps = [_timed(regions.region_frontier, "SD-WT", c05, None, dirs) for _ in range(3)]
-    sweep = sweeps[0][0]
+    _, sweep, work["criterion-05:sweep"] = _captured(
+        regions, lambda: regions.region_frontier("SD-WT", c05, None, dirs)
+    )
     oracle, oracle_s = _timed(regions.brute_force_oracle, c05, "SD-WT", delta=0.02, directions=dirs)
     values["criterion-05:sweep"] = _supports(sweep)
     values["criterion-05:oracle"] = _supports(oracle)
@@ -226,6 +246,7 @@ def measure(tree: Path) -> dict:
     random_s = time.perf_counter() - t0
 
     return {
+        "work": work,
         "per_call": per_call,
         "non_binary": larger,
         "near_zero_gp_capacity": {
@@ -364,7 +385,38 @@ def compare(args) -> dict:
         },
         "perfbench": {"command": "python3 perfbench/run.py --workload W --seed S --seconds "
                       f"{args.seconds:g} --trace 0", "workloads": pairs},
+        "pytest": _pytest_walls(trees, PYTEST_RUNS),
     }
+
+
+PYTEST_RUNS = {
+    "criterion_05": ["tests/test_acceptance.py::test_criterion_05_region_frontier"],
+    "tier1": ["--continue-on-collection-errors"],
+}
+
+
+def _pytest_walls(trees: dict, runs: dict) -> dict:
+    """Wall seconds and the summary line of each ``runs`` entry (name: pytest
+    arguments) per tree, two rounds with the first tree alternating."""
+    out = {name: {"parent": [], "change": []} for name in runs}
+    for r in range(2):
+        for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
+            tree = trees[side]
+            env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
+            for name, extra in runs.items():
+                _clear_caches(tree)
+                t0 = time.perf_counter()
+                proc = subprocess.run(
+                    [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *extra],
+                    cwd=tree, capture_output=True, text=True, env=env,
+                )
+                lines = proc.stdout.strip().splitlines()
+                out[name][side].append({
+                    "wall_s": round(time.perf_counter() - t0, 2),
+                    "exit_status": proc.returncode,
+                    "summary": lines[-1] if lines else "",
+                })
+    return out
 
 
 def main() -> None:
